@@ -633,7 +633,12 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 		}
 		now = done
 	}
-	var acc eval.Solutions
+	// The query dataset is the *set* union of all providers' triples
+	// (Sect. IV-A): identical triples held by several providers must yield
+	// one solution. For a single pattern a solution mapping determines the
+	// matched triple, so mapping-level deduplication realizes the set
+	// semantics exactly.
+	var acc eval.Accumulator
 	finish := now
 	// One call closure reused across targets (and retry attempts) keeps the
 	// fan-out loop allocation-free; the captured request is re-pointed per
@@ -667,9 +672,9 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			continue
 		}
 		ctx.countSubquery(p.Node)
-		acc = eval.Union(acc, resp.(overlay.SolutionsResp).Sols)
+		acc.Add(resp.(overlay.SolutionsResp).Sols)
 		finish = simnet.MaxTime(finish, done)
-		if plan.stopOnFirst && len(acc) > 0 {
+		if plan.stopOnFirst && acc.Len() > 0 {
 			// existence settled: remaining targets are not contacted (the
 			// sequential early exit trades the parallel fan-out's latency
 			// for fewer messages)
@@ -677,13 +682,7 @@ func (e *Engine) execPatternBasic(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			break
 		}
 	}
-	// The query dataset is the *set* union of all providers' triples
-	// (Sect. IV-A): identical triples held by several providers must yield
-	// one solution. For a single pattern a solution mapping determines the
-	// matched triple, so mapping-level deduplication realizes the set
-	// semantics exactly.
-	acc = eval.Distinct(acc)
-	return siteSet{sols: acc, site: assembly}, finish, nil
+	return siteSet{sols: acc.Solutions(), site: assembly}, finish, nil
 }
 
 // execPatternChain: the sub-query and accumulated solutions forward
@@ -718,7 +717,13 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 		linkTC = dispatchTC
 	}
 
-	var acc eval.Solutions
+	// In-network aggregation with set-union semantics: merging at each hop
+	// removes solutions duplicated across providers before they travel
+	// further (the dedup counterpart of execPatternBasic). The accumulator
+	// does it incrementally and keeps a running size; with the seeds sized
+	// once, sizing a hop costs O(1) instead of O(|seeds| + |acc|).
+	var acc eval.Accumulator
+	seedBytes := seeds.sols.SizeBytes()
 	reached := prev
 	for i, target := range seq {
 		hopTC := linkTC.Child(uint64(i + 1))
@@ -726,10 +731,11 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			Patterns: patterns,
 			Filter:   filter,
 			Seeds:    seeds.sols,
-			Acc:      acc,
+			Acc:      acc.Solutions(),
 			Seq:      addrsOf(seq[i+1:]),
 			Dataset:  ctx.dataset,
 			TC:       hopTC,
+			solBytes: seedBytes + acc.Bytes(),
 		}
 		done, err := e.transferRetry(prev, target.Node, overlay.MethodChainHop, payload, now)
 		now = done
@@ -747,18 +753,15 @@ func (e *Engine) execPatternChain(ctx *qctx, plan patternPlan, seeds siteSet, fi
 			continue
 		}
 		ctx.countSubquery(target.Node)
-		// In-network aggregation with set-union semantics: merging at each
-		// hop removes solutions duplicated across providers before they
-		// travel further (the dedup counterpart of execPatternBasic).
-		acc = eval.Distinct(eval.Union(acc, st.LocalMatchScope(patterns, filter, seeds.sols, ctx.dataset, ctx.fromNamed, scope)))
+		acc.Add(st.LocalMatchScope(patterns, filter, seeds.sols, ctx.dataset, ctx.fromNamed, scope))
 		prev = target.Node
 		reached = target.Node
 		linkTC = hopTC
-		if plan.stopOnFirst && len(acc) > 0 {
+		if plan.stopOnFirst && acc.Len() > 0 {
 			break
 		}
 	}
-	return siteSet{sols: acc, site: reached}, now, nil
+	return siteSet{sols: acc.Solutions(), site: reached}, now, nil
 }
 
 // orderTargets produces the chain sequence: address order (deterministic)

@@ -36,6 +36,12 @@ type chainPayload struct {
 	// from its own, so a traced chain renders as a linked list of message
 	// spans (the Fig. 5 chained flow).
 	TC trace.TraceContext
+	// solBytes is Seeds.SizeBytes() + Acc.SizeBytes() when the sender
+	// already knows it (the chain executor sizes the seeds once per
+	// pattern and reads the accumulator's running total), so sizing a hop
+	// is O(1). Zero means unknown, e.g. after decoding: a real total is
+	// never zero, as every multiset costs at least 4 bytes.
+	solBytes int
 }
 
 // TraceCtx implements trace.Carrier.
@@ -50,8 +56,11 @@ func (c chainPayload) SizeBytes() int {
 	if c.Filter != nil {
 		n += len(c.Filter.String())
 	}
-	n += c.Seeds.SizeBytes()
-	n += c.Acc.SizeBytes()
+	if c.solBytes > 0 {
+		n += c.solBytes
+	} else {
+		n += c.Seeds.SizeBytes() + c.Acc.SizeBytes()
+	}
 	for _, a := range c.Seq {
 		n += len(a)
 	}

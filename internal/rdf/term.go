@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Kind discriminates the lexical space a Term belongs to.
@@ -137,25 +138,49 @@ func (t Term) String() string {
 	case KindIRI:
 		return "<" + t.Value + ">"
 	case KindLiteral:
-		var sb strings.Builder
-		sb.WriteByte('"')
-		sb.WriteString(escapeLiteral(t.Value))
-		sb.WriteByte('"')
-		if t.Lang != "" {
-			sb.WriteByte('@')
-			sb.WriteString(t.Lang)
-		} else if t.Datatype != "" {
-			sb.WriteString("^^<")
-			sb.WriteString(t.Datatype)
-			sb.WriteByte('>')
-		}
-		return sb.String()
+		// Rendered through AppendTo into a stack buffer, so the returned
+		// string is the only allocation for lexical forms that fit.
+		var buf [64]byte
+		return string(t.AppendTo(buf[:0]))
 	case KindBlank:
 		return "_:" + t.Value
 	case KindVar:
 		return "?" + t.Value
 	default:
 		return "<invalid>"
+	}
+}
+
+// AppendTo appends the term's String form to dst and returns the extended
+// buffer: byte for byte what String returns, without allocating when dst
+// has room. Solution-mapping keys are built on it.
+func (t Term) AppendTo(dst []byte) []byte {
+	switch t.Kind {
+	case KindIRI:
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
+	case KindLiteral:
+		dst = append(dst, '"')
+		dst = appendEscaped(dst, t.Value)
+		dst = append(dst, '"')
+		if t.Lang != "" {
+			dst = append(dst, '@')
+			dst = append(dst, t.Lang...)
+		} else if t.Datatype != "" {
+			dst = append(dst, "^^<"...)
+			dst = append(dst, t.Datatype...)
+			dst = append(dst, '>')
+		}
+		return dst
+	case KindBlank:
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
+	case KindVar:
+		dst = append(dst, '?')
+		return append(dst, t.Value...)
+	default:
+		return append(dst, "<invalid>"...)
 	}
 }
 
@@ -168,28 +193,30 @@ func (t Term) SizeBytes() int {
 // kindWidth is the fixed wire width of a term's kind tag.
 func kindWidth(Kind) int { return 2 }
 
-func escapeLiteral(s string) string {
+// appendEscaped appends s with the N-Triples literal escapes applied. When
+// anything needs escaping, s is re-encoded rune by rune, so invalid UTF-8
+// bytes come out as U+FFFD.
+func appendEscaped(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(dst, s...)
 	}
-	var sb strings.Builder
 	for _, r := range s {
 		switch r {
 		case '"':
-			sb.WriteString(`\"`)
+			dst = append(dst, `\"`...)
 		case '\\':
-			sb.WriteString(`\\`)
+			dst = append(dst, `\\`...)
 		case '\n':
-			sb.WriteString(`\n`)
+			dst = append(dst, `\n`...)
 		case '\r':
-			sb.WriteString(`\r`)
+			dst = append(dst, `\r`...)
 		case '\t':
-			sb.WriteString(`\t`)
+			dst = append(dst, `\t`...)
 		default:
-			sb.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return sb.String()
+	return dst
 }
 
 // Compare imposes a total order over terms, used by ORDER BY and by

@@ -1,6 +1,7 @@
 package rdf
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -188,6 +189,101 @@ func TestSizeBytesPositive(t *testing.T) {
 		return NewIRI(v).SizeBytes() > 0 && NewLiteral(v).SizeBytes() > 0
 	}
 	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// refString is the strings.Builder rendering String used before AppendTo
+// existed, kept as the reference AppendTo must reproduce byte for byte.
+func refString(t Term) string {
+	switch t.Kind {
+	case KindIRI:
+		return "<" + t.Value + ">"
+	case KindLiteral:
+		var sb strings.Builder
+		sb.WriteByte('"')
+		if strings.ContainsAny(t.Value, "\"\\\n\r\t") {
+			for _, r := range t.Value {
+				switch r {
+				case '"':
+					sb.WriteString(`\"`)
+				case '\\':
+					sb.WriteString(`\\`)
+				case '\n':
+					sb.WriteString(`\n`)
+				case '\r':
+					sb.WriteString(`\r`)
+				case '\t':
+					sb.WriteString(`\t`)
+				default:
+					sb.WriteRune(r)
+				}
+			}
+		} else {
+			sb.WriteString(t.Value)
+		}
+		sb.WriteByte('"')
+		if t.Lang != "" {
+			sb.WriteByte('@')
+			sb.WriteString(t.Lang)
+		} else if t.Datatype != "" {
+			sb.WriteString("^^<")
+			sb.WriteString(t.Datatype)
+			sb.WriteByte('>')
+		}
+		return sb.String()
+	case KindBlank:
+		return "_:" + t.Value
+	case KindVar:
+		return "?" + t.Value
+	default:
+		return "<invalid>"
+	}
+}
+
+func checkAppendTo(t *testing.T, term Term) {
+	t.Helper()
+	want := refString(term)
+	if got := term.String(); got != want {
+		t.Errorf("String(%#v) = %q, want %q", term, got, want)
+	}
+	if got := string(term.AppendTo(nil)); got != want {
+		t.Errorf("AppendTo(nil) of %#v = %q, want %q", term, got, want)
+	}
+	// Appending after existing bytes must leave them intact.
+	if got := string(term.AppendTo([]byte("k="))); got != "k="+want {
+		t.Errorf("AppendTo(prefix) of %#v = %q, want %q", term, got, "k="+want)
+	}
+}
+
+func TestAppendToMatchesString(t *testing.T) {
+	long := strings.Repeat("x", 100) // past String's stack buffer
+	for _, term := range []Term{
+		NewIRI("http://example.org/a"),
+		NewIRI(""),
+		NewBlank("b1"),
+		NewVar("x"),
+		NewLiteral(""),
+		NewLiteral("hello"),
+		NewLiteral("a\"b\\c\nd\te\rf"),
+		NewLiteral("naïve ☃"),
+		NewLiteral("bad\xffutf8"),
+		NewLiteral("bad\xff\"utf8 with escape"),
+		NewLiteral(long + "\n" + long),
+		NewLangLiteral("bonjour", "fr"),
+		NewLangLiteral("tab\there", "en-GB"),
+		NewTypedLiteral("5", XSDInteger),
+		NewTypedLiteral("a\"q", XSDString),
+		{Kind: KindLiteral, Value: "both", Lang: "de", Datatype: XSDString},
+		{},
+	} {
+		checkAppendTo(t, term)
+	}
+	f := func(kind uint8, value, lang, datatype string) bool {
+		checkAppendTo(t, Term{Kind: Kind(kind % 6), Value: value, Lang: lang, Datatype: datatype})
+		return !t.Failed()
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
 }

@@ -398,7 +398,7 @@ func (s *System) QueryPattern(from simnet.Addr, pat rdf.Triple, at simnet.VTime)
 			addrs = append(addrs, a)
 		}
 		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-		var acc eval.Solutions
+		var acc eval.Accumulator
 		now := at
 		finish := at
 		// One match closure reused across targets keeps the flood loop
@@ -415,13 +415,13 @@ func (s *System) QueryPattern(from simnet.Addr, pat rdf.Triple, at simnet.VTime)
 			if err != nil {
 				continue
 			}
-			acc = eval.Union(acc, resp.(SolutionsResp).Sols)
+			acc.Add(resp.(SolutionsResp).Sols)
 			finish = simnet.MaxTime(finish, done)
 		}
 		if finishOp != nil {
 			finishOp(at, finish)
 		}
-		return eval.Distinct(acc), finish, nil
+		return acc.Solutions(), finish, nil
 	}
 	owner, _, now, err := s.resolveTraced(from, key, tc.Child(1), at)
 	if err != nil {

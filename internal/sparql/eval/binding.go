@@ -9,6 +9,8 @@
 package eval
 
 import (
+	"bytes"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,24 +89,31 @@ func (b Binding) Equal(c Binding) bool {
 }
 
 // Key returns a canonical string for the mapping, used for DISTINCT and
-// set-based deduplication.
+// set-based deduplication: "name=term;" per variable, in sorted variable
+// order.
 func (b Binding) Key() string {
-	if len(b) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(b))
+	var buf [256]byte
+	return string(b.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the mapping's Key to dst and returns the extended
+// buffer. It allocates nothing for mappings of up to eight variables when
+// dst has room, so set-based deduplication can probe with a reused buffer
+// and copy a key only when it inserts one.
+func (b Binding) AppendKey(dst []byte) []byte {
+	var arr [8]string
+	names := arr[:0]
 	for k := range b {
-		keys = append(keys, k)
+		names = append(names, k)
 	}
-	sort.Strings(keys)
-	var sb strings.Builder
-	for _, k := range keys {
-		sb.WriteString(k)
-		sb.WriteByte('=')
-		sb.WriteString(b[k].String())
-		sb.WriteByte(';')
+	slices.Sort(names)
+	for _, k := range names {
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = b[k].AppendTo(dst)
+		dst = append(dst, ';')
 	}
-	return sb.String()
+	return dst
 }
 
 // SizeBytes estimates the wire size of the mapping for the network cost
@@ -192,29 +201,11 @@ func Join(a, b Solutions) Solutions {
 		}
 		return out
 	}
-	// Build hash table over b keyed by shared-variable values. Mappings in
-	// which some shared variable is unbound go to a catch-all bucket that
-	// must be probed pairwise.
-	table := make(map[string]Solutions)
-	var loose Solutions
-	for _, y := range b {
-		k, ok := joinKey(y, shared)
-		if !ok {
-			loose = append(loose, y)
-			continue
-		}
-		table[k] = append(table[k], y)
-	}
+	h := newHashIndex(b, shared)
 	var out Solutions
 	for _, x := range a {
-		k, ok := joinKey(x, shared)
-		if ok {
-			for _, y := range table[k] {
-				if x.Compatible(y) {
-					out = append(out, x.Merge(y))
-				}
-			}
-		} else {
+		bucket, ok := h.probe(x)
+		if !ok {
 			// x leaves shared variables unbound: probe everything.
 			for _, y := range b {
 				if x.Compatible(y) {
@@ -223,8 +214,13 @@ func Join(a, b Solutions) Solutions {
 			}
 			continue
 		}
-		for _, y := range loose {
-			if x.Compatible(y) {
+		for _, j := range bucket {
+			if y := b[j]; x.Compatible(y) {
+				out = append(out, x.Merge(y))
+			}
+		}
+		for _, j := range h.loose {
+			if y := b[j]; x.Compatible(y) {
 				out = append(out, x.Merge(y))
 			}
 		}
@@ -232,17 +228,89 @@ func Join(a, b Solutions) Solutions {
 	return out
 }
 
-func joinKey(b Binding, vars []string) (string, bool) {
-	var sb strings.Builder
-	for _, v := range vars {
-		t, ok := b[v]
+// hashIndex partitions a multiset by the values of the shared variables,
+// the build side of the hashed Join, Diff and LeftJoinFilter. A mapping
+// that leaves some shared variable unbound cannot be keyed; it goes to the
+// loose list, which every probe must also scan. All positions are indexes
+// into the indexed multiset, ascending within each bucket and in loose.
+type hashIndex struct {
+	shared  []string
+	ids     map[string]int // join key → bucket number
+	buckets [][]int
+	loose   []int
+	buf     []byte // reused join-key buffer
+}
+
+func newHashIndex(b Solutions, shared []string) hashIndex {
+	h := hashIndex{shared: shared, ids: make(map[string]int)}
+	for j, y := range b {
+		key, ok := h.key(y)
 		if !ok {
-			return "", false
+			h.loose = append(h.loose, j)
+			continue
 		}
-		sb.WriteString(t.String())
-		sb.WriteByte('|')
+		id, seen := h.ids[string(key)]
+		if !seen {
+			id = len(h.buckets)
+			h.ids[string(key)] = id
+			h.buckets = append(h.buckets, nil)
+		}
+		h.buckets[id] = append(h.buckets[id], j)
 	}
-	return sb.String(), true
+	return h
+}
+
+// key renders x's values on the shared variables into the reused buffer,
+// reporting false when x leaves one of them unbound.
+func (h *hashIndex) key(x Binding) ([]byte, bool) {
+	h.buf = h.buf[:0]
+	for _, v := range h.shared {
+		t, ok := x[v]
+		if !ok {
+			return nil, false
+		}
+		h.buf = t.AppendTo(h.buf)
+		h.buf = append(h.buf, '|')
+	}
+	return h.buf, true
+}
+
+// probe returns the bucket of mappings that agree with x on every shared
+// variable. ok is false when x leaves a shared variable unbound; then any
+// mapping may be compatible with it.
+func (h *hashIndex) probe(x Binding) (bucket []int, ok bool) {
+	key, ok := h.key(x)
+	if !ok {
+		return nil, false
+	}
+	if id, hit := h.ids[string(key)]; hit {
+		return h.buckets[id], true
+	}
+	return nil, true
+}
+
+// candidates writes into dst, in ascending order, the positions of every
+// mapping of the n indexed ones that may be compatible with x: its bucket
+// merged with the loose list, or all n when x cannot be keyed. Callers
+// that scan the candidates therefore visit them in the nested loop's order.
+func (h *hashIndex) candidates(x Binding, n int, dst []int) []int {
+	bucket, ok := h.probe(x)
+	if !ok {
+		for j := 0; j < n; j++ {
+			dst = append(dst, j)
+		}
+		return dst
+	}
+	loose := h.loose
+	for len(bucket) > 0 && len(loose) > 0 {
+		if bucket[0] < loose[0] {
+			dst, bucket = append(dst, bucket[0]), bucket[1:]
+		} else {
+			dst, loose = append(dst, loose[0]), loose[1:]
+		}
+	}
+	dst = append(dst, bucket...)
+	return append(dst, loose...)
 }
 
 func sharedVars(a, b Solutions) []string {
@@ -275,12 +343,19 @@ func Union(a, b Solutions) Solutions {
 }
 
 // Diff computes Ω1 ∖ Ω2: mappings of Ω1 compatible with no mapping of Ω2.
+// Ω2 is hash-partitioned on the shared variables, so each mapping of Ω1
+// is checked only against its bucket and the loose mappings.
 func Diff(a, b Solutions) Solutions {
-	var out Solutions
+	h := newHashIndex(b, sharedVars(a, b))
+	var (
+		out   Solutions
+		cands []int
+	)
 	for _, x := range a {
+		cands = h.candidates(x, len(b), cands[:0])
 		ok := true
-		for _, y := range b {
-			if x.Compatible(y) {
+		for _, j := range cands {
+			if x.Compatible(b[j]) {
 				ok = false
 				break
 			}
@@ -301,26 +376,91 @@ func LeftJoin(a, b Solutions) Solutions {
 
 // Distinct removes duplicate mappings, preserving first occurrences.
 func Distinct(s Solutions) Solutions {
-	seen := make(map[string]bool, len(s))
+	keys := keySet{seen: make(map[string]struct{}, len(s))}
 	var out Solutions
 	for _, b := range s {
-		k := b.Key()
-		if !seen[k] {
-			seen[k] = true
+		if keys.insert(b) {
 			out = append(out, b)
 		}
 	}
 	return out
 }
 
+// keySet is a set of mapping keys (Binding.Key). A probe renders the key
+// into a reused buffer and looks it up without allocating; only a key that
+// is actually inserted is copied into the map.
+type keySet struct {
+	seen map[string]struct{}
+	buf  []byte
+}
+
+// insert adds b's key and reports whether it was not yet in the set.
+func (k *keySet) insert(b Binding) bool {
+	k.buf = b.AppendKey(k.buf[:0])
+	if _, dup := k.seen[string(k.buf)]; dup {
+		return false
+	}
+	if k.seen == nil {
+		k.seen = make(map[string]struct{})
+	}
+	k.seen[string(k.buf)] = struct{}{}
+	return true
+}
+
+// Accumulator is an incremental set union of solution multisets, the
+// in-network aggregation of a pattern's matches across its providers.
+// After Add(s1), ..., Add(sk) it holds exactly Distinct(Union(s1, ...,
+// sk)), in the same order, and Bytes equals that multiset's SizeBytes.
+// Each Add costs time linear in its own batch: nothing already held is
+// deduplicated or sized again. The zero value is an empty accumulator.
+//
+// The seen-key set lives as long as the accumulator; scope one to the
+// aggregation it serves so the keys are released when it finishes.
+type Accumulator struct {
+	keys  keySet
+	sols  Solutions
+	bytes int // sum of the held mappings' SizeBytes
+}
+
+// Add merges s into the accumulator: each mapping whose key is not yet
+// held is appended, in the order of s.
+func (a *Accumulator) Add(s Solutions) {
+	for _, b := range s {
+		if a.keys.insert(b) {
+			a.sols = append(a.sols, b)
+			a.bytes += b.SizeBytes()
+		}
+	}
+}
+
+// Len returns the number of distinct mappings held.
+func (a *Accumulator) Len() int { return len(a.sols) }
+
+// Solutions returns the mappings held so far (nil when empty). The view's
+// capacity is capped at its length, so later Adds never write into memory
+// it can see: a view handed to a payload stays immutable.
+func (a *Accumulator) Solutions() Solutions {
+	if len(a.sols) == 0 {
+		return nil
+	}
+	return a.sols[:len(a.sols):len(a.sols)]
+}
+
+// Bytes returns Solutions().SizeBytes() in constant time.
+func (a *Accumulator) Bytes() int { return 4 + a.bytes }
+
 // Reduced removes adjacent duplicate mappings.
 func Reduced(s Solutions) Solutions {
-	var out Solutions
+	var (
+		out       Solutions
+		prev, cur []byte
+	)
 	for i, b := range s {
-		if i > 0 && b.Key() == s[i-1].Key() {
-			continue
+		cur = b.AppendKey(cur[:0])
+		if i == 0 || !bytes.Equal(cur, prev) {
+			out = append(out, b)
 		}
-		out = append(out, b)
+		prev, cur = cur, prev
 	}
 	return out
 }

@@ -160,16 +160,23 @@ func evalGraph(o *algebra.Graph, ds *Dataset) (Solutions, error) {
 
 // LeftJoinFilter implements LeftJoin(Ω1, Ω2, expr) per the SPARQL algebra:
 // compatible merges that satisfy expr, plus Ω1 mappings with no compatible
-// (and satisfying) counterpart.
+// (and satisfying) counterpart. Ω2 is hash-partitioned on the shared
+// variables; each mapping of Ω1 visits its candidates in Ω2 order, so the
+// output order is the nested loop's.
 func LeftJoinFilter(a, b Solutions, expr sparql.Expression) Solutions {
 	if expr == nil {
 		return LeftJoin(a, b)
 	}
-	var out Solutions
+	h := newHashIndex(b, sharedVars(a, b))
+	var (
+		out   Solutions
+		cands []int
+	)
 	for _, x := range a {
 		matched := false
-		for _, y := range b {
-			if x.Compatible(y) {
+		cands = h.candidates(x, len(b), cands[:0])
+		for _, j := range cands {
+			if y := b[j]; x.Compatible(y) {
 				m := x.Merge(y)
 				if Satisfies(expr, m) {
 					out = append(out, m)
