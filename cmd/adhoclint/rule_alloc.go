@@ -321,7 +321,7 @@ func (a *allocChecker) checkFunc(p *Package, fn *ast.FuncDecl, obj *types.Func) 
 
 // loopInfo is one for/range loop body extent.
 type loopInfo struct {
-	node  ast.Stmt   // *ast.ForStmt or *ast.RangeStmt
+	node  ast.Stmt // *ast.ForStmt or *ast.RangeStmt
 	body  *ast.BlockStmt
 	outer bool // not nested inside another loop of the same function
 }
@@ -438,9 +438,9 @@ func (a *allocChecker) checkStringConcat(p *Package, fn *ast.FuncDecl, obj *type
 type declSizing int
 
 const (
-	sizedDecl   declSizing = iota // capacity/size hint present
-	noCapSlice                    // var s []T, s := []T{}, make([]T, 0)
-	noHintMap                     // m := map[K]V{}, make(map[K]V)
+	sizedDecl  declSizing = iota // capacity/size hint present
+	noCapSlice                   // var s []T, s := []T{}, make([]T, 0)
+	noHintMap                    // m := map[K]V{}, make(map[K]V)
 )
 
 // checkLoopGrowth flags append-growth and map population in outermost

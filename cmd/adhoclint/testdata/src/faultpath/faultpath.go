@@ -118,6 +118,7 @@ func (n *Node) InstallVia(to simnet.Addr, at simnet.VTime) error {
 }
 
 // InstallCompensated declares its rollback: clean.
+//
 //adhoclint:faultpath(compensated, the counter is decremented again when the send fails)
 func (n *Node) InstallCompensated(to simnet.Addr, at simnet.VTime) error {
 	n.count++
@@ -129,6 +130,7 @@ func (n *Node) InstallCompensated(to simnet.Addr, at simnet.VTime) error {
 }
 
 // bump is a declared failure-benign counter.
+//
 //adhoclint:faultpath(benign, statistics counter; a failed operation wastes one count)
 func (n *Node) bump() { n.count++ }
 

@@ -66,6 +66,7 @@ func (n *Node) HandleCall(at simnet.VTime, method string, req simnet.Payload) (s
 
 // Init seeds the node. The directive removes it from the root set: it
 // runs before the node is registered, so it can never overlap a handler.
+//
 //adhoclint:racefree(runs in the constructor, before Register publishes the node)
 func (n *Node) Init() {
 	n.seed = 1

@@ -104,6 +104,7 @@ func (c *qctx) stage(name string, start, end simnet.VTime) {
 // nextTC derives the next serial child context of a parent span. It must
 // not be called inside simnet.Parallel branches (derive from the branch
 // index there instead).
+//
 //adhoclint:faultpath(benign, trace-span counter; a span identifier wasted by a failed operation is unobservable)
 func (c *qctx) nextTC(parent trace.TraceContext) trace.TraceContext {
 	c.seq++
@@ -111,6 +112,7 @@ func (c *qctx) nextTC(parent trace.TraceContext) trace.TraceContext {
 }
 
 // countSubquery records one answered sub-query against a provider.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countSubquery(target simnet.Addr) {
 	c.subq++
@@ -118,12 +120,14 @@ func (c *qctx) countSubquery(target simnet.Addr) {
 }
 
 // countDrop records one stale-posting cleanup triggered by this query.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countDrop() {
 	c.drops++
 }
 
 // countLookup records one location-table lookup's routing cost.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countLookup(hops int, hit bool) {
 	c.hops += hops
@@ -133,6 +137,7 @@ func (c *qctx) countLookup(hops int, hit bool) {
 }
 
 // countReplicaHit records one lookup served by a hot-key replica holder.
+//
 //adhoclint:faultpath(benign, query-scoped statistics; discarded with the context when the query fails)
 func (c *qctx) countReplicaHit() {
 	c.replicaHits++

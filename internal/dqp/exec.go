@@ -862,6 +862,7 @@ func splitFilter(f sparql.Expression) []sparql.Expression {
 // shippableFilter selects the not-yet-shipped conjuncts whose variables
 // are covered by bound and combines them into one expression; selected
 // conjuncts are marked shipped.
+//
 //adhoclint:faultpath(benign, marks query-scoped scratch; an error discards the whole query context)
 func shippableFilter(conjuncts []sparql.Expression, shipped []bool, bound map[string]bool) sparql.Expression {
 	var out sparql.Expression

@@ -134,16 +134,7 @@ func hashString(s string) uint64 {
 // plan applies to every subsequent Call/Send/Transfer; installing it does
 // not disturb metrics or membership.
 func (n *Network) SetFaults(plan *FaultPlan) {
-	n.faultMu.Lock()
-	n.faults = plan
-	n.faultMu.Unlock()
-}
-
-// Faults returns the installed fault plan (nil = fault-free).
-func (n *Network) Faults() *FaultPlan {
-	n.faultMu.RLock()
-	defer n.faultMu.RUnlock()
-	return n.faults
+	n.setHook(func(h *hooks) { h.faults = plan })
 }
 
 // DefaultAttempts is the standard retry budget for lost messages: the

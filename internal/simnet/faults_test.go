@@ -264,7 +264,7 @@ func TestRetryAccumulatesTimeoutAndSucceeds(t *testing.T) {
 	}
 	// The failed attempt's FailTimeout stays on the critical path.
 	rtt := VTime(faultTestDelay(1000) + faultTestDelay(200))
-	if want := start.Add(10 * time.Millisecond) + rtt; done != want {
+	if want := start.Add(10*time.Millisecond) + rtt; done != want {
 		t.Errorf("done = %v, want %v (timeout + clean round trip)", done, want)
 	}
 }

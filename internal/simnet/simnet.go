@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adhocshare/internal/flight"
@@ -124,8 +125,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Message directions used as keys of Snapshot.PerDirection. A Call is two
-// accounted messages (request + response); Send and Transfer are one each.
+// Message directions. A Call is two accounted legs (request + response);
+// Send and Transfer are one each. The strings salt every FaultPlan loss
+// draw, so changing one moves every draw.
 const (
 	DirRequest  = "req"
 	DirResponse = "resp"
@@ -141,25 +143,12 @@ type Network struct {
 	// must never serialize behind the membership lock.
 	metrics metrics
 
-	// recMu guards rec, the optional span recorder. Nil means tracing is
-	// disabled; the fabric reads it once per operation and skips all span
-	// construction on the disabled path.
-	recMu sync.RWMutex
-	rec   trace.Recorder
-
-	// fltMu guards flt, the optional flight recorder. Nil means the
-	// recorder is disabled; the fabric reads it once per operation and the
-	// disabled path does no work and allocates nothing (flight events are
-	// value structs, so even the armed path adds no per-message heap
-	// traffic once rings reach capacity).
-	fltMu sync.RWMutex
-	flt   *flight.Recorder
-
-	// faultMu guards faults, the optional deterministic fault-injection
-	// plan (nil = fault-free). Like the recorder it sits outside mu: loss
-	// draws are pure hashes and never block membership changes.
-	faultMu sync.RWMutex
-	faults  *FaultPlan
+	// hooks holds the optional observers and fault plan. Every operation
+	// loads it once, so its legs see one consistent set; the setters
+	// replace it copy-on-write under hookMu. Like metrics it sits outside
+	// mu: observing a leg never blocks membership changes.
+	hooks  atomic.Pointer[hooks]
+	hookMu sync.Mutex
 
 	mu     sync.RWMutex
 	nodes  map[Addr]Handler
@@ -172,12 +161,29 @@ type Network struct {
 	linkFactor map[Addr]float64
 }
 
+// hooks are a network's optional attachments. A nil field is disabled:
+// the fabric skips all span and event construction for it, so the
+// disabled path allocates nothing.
+type hooks struct {
+	rec    trace.Recorder
+	flt    *flight.Recorder
+	faults *FaultPlan
+}
+
+// setHook replaces the hooks with a copy changed by set.
+func (n *Network) setHook(set func(*hooks)) {
+	n.hookMu.Lock()
+	defer n.hookMu.Unlock()
+	h := *n.hooks.Load()
+	set(&h)
+	n.hooks.Store(&h)
+}
+
 type metrics struct {
 	mu        sync.Mutex
 	messages  int64
 	bytes     int64
 	perMethod map[string]*MethodStats
-	perDir    map[string]map[string]*MethodStats
 }
 
 // MethodStats aggregates traffic for one RPC method.
@@ -195,20 +201,15 @@ type Snapshot struct {
 	Bytes int64
 	// PerMethod breaks traffic down by RPC method name.
 	PerMethod map[string]MethodStats
-	// PerDirection further splits each method's traffic by message
-	// direction (DirRequest, DirResponse, DirOneWay, DirTransfer):
-	// direction → method → stats. The per-method totals equal the sum
-	// over directions.
-	PerDirection map[string]map[string]MethodStats
 }
 
 // Sub returns the delta s − earlier, for scoping counters to one query.
+// Methods without traffic in between are omitted.
 func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 	out := Snapshot{
-		Messages:     s.Messages - earlier.Messages,
-		Bytes:        s.Bytes - earlier.Bytes,
-		PerMethod:    map[string]MethodStats{},
-		PerDirection: map[string]map[string]MethodStats{},
+		Messages:  s.Messages - earlier.Messages,
+		Bytes:     s.Bytes - earlier.Bytes,
+		PerMethod: map[string]MethodStats{},
 	}
 	for k, v := range s.PerMethod {
 		d := MethodStats{
@@ -217,20 +218,6 @@ func (s Snapshot) Sub(earlier Snapshot) Snapshot {
 		}
 		if d.Messages != 0 || d.Bytes != 0 {
 			out.PerMethod[k] = d
-		}
-	}
-	for dir, methods := range s.PerDirection {
-		for k, v := range methods {
-			d := MethodStats{
-				Messages: v.Messages - earlier.PerDirection[dir][k].Messages,
-				Bytes:    v.Bytes - earlier.PerDirection[dir][k].Bytes,
-			}
-			if d.Messages != 0 || d.Bytes != 0 {
-				if out.PerDirection[dir] == nil {
-					out.PerDirection[dir] = map[string]MethodStats{}
-				}
-				out.PerDirection[dir][k] = d
-			}
 		}
 	}
 	return out
@@ -246,24 +233,16 @@ func (s Snapshot) Methods() []string {
 	return out
 }
 
-// Directions lists the direction keys present in the snapshot, sorted.
-func (s Snapshot) Directions() []string {
-	out := make([]string, 0, len(s.PerDirection))
-	for k := range s.PerDirection {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // New creates a network with the given cost model.
 func New(cfg Config) *Network {
-	return &Network{
+	n := &Network{
 		cfg:        cfg.withDefaults(),
 		nodes:      map[Addr]Handler{},
 		failed:     map[Addr]bool{},
 		linkFactor: map[Addr]float64{},
 	}
+	n.hooks.Store(&hooks{})
+	return n
 }
 
 // Config returns the effective cost-model configuration.
@@ -273,17 +252,11 @@ func (n *Network) Config() Config { return n.cfg }
 // is strictly observational: it never changes accounted messages, bytes,
 // or virtual times, and the disabled path allocates nothing.
 func (n *Network) SetRecorder(r trace.Recorder) {
-	n.recMu.Lock()
-	n.rec = r
-	n.recMu.Unlock()
+	n.setHook(func(h *hooks) { h.rec = r })
 }
 
 // Recorder returns the currently attached span recorder (nil = disabled).
-func (n *Network) Recorder() trace.Recorder {
-	n.recMu.RLock()
-	defer n.recMu.RUnlock()
-	return n.rec
-}
+func (n *Network) Recorder() trace.Recorder { return n.hooks.Load().rec }
 
 // SetFlightRecorder attaches (or, with nil, detaches) a flight recorder.
 // Like tracing it is strictly observational: it never changes accounted
@@ -291,34 +264,12 @@ func (n *Network) Recorder() trace.Recorder {
 // accounted message leg — a delivery, a recorded loss, or an unreachable
 // mark — which is the basis of the traffic-conservation monitor.
 func (n *Network) SetFlightRecorder(r *flight.Recorder) {
-	n.fltMu.Lock()
-	n.flt = r
-	n.fltMu.Unlock()
+	n.setHook(func(h *hooks) { h.flt = r })
 }
 
 // FlightRecorder returns the currently attached flight recorder (nil =
 // disabled).
-func (n *Network) FlightRecorder() *flight.Recorder {
-	n.fltMu.RLock()
-	defer n.fltMu.RUnlock()
-	return n.flt
-}
-
-// flightMsg emits the flight event for one message leg. The event lands
-// in the sender's ring; kind is the leg's outcome (deliver, lost,
-// unreachable).
-func flightMsg(flt *flight.Recorder, kind string, tc trace.TraceContext, method string, from, to Addr, start, end VTime, note string) {
-	flt.Emit(flight.Event{
-		Node:   string(from),
-		Kind:   kind,
-		VT:     int64(start),
-		End:    int64(end),
-		Peer:   string(to),
-		Method: method,
-		Query:  tc.Query,
-		Note:   note,
-	})
-}
+func (n *Network) FlightRecorder() *flight.Recorder { return n.hooks.Load().flt }
 
 // Register attaches a handler at the given address, replacing any previous
 // registration and clearing a failure mark.
@@ -420,108 +371,53 @@ func (n *Network) transferDelay(from, to Addr, size int) time.Duration {
 	return time.Duration(float64(base) * n.PathFactor(from, to))
 }
 
+// lookup resolves a destination to its handler and failure mark.
+func (n *Network) lookup(to Addr) (Handler, bool, error) {
+	n.mu.RLock()
+	h, ok := n.nodes[to]
+	failed := n.failed[to]
+	n.mu.RUnlock()
+	if !ok {
+		return nil, false, fmt.Errorf("%w: %s", ErrUnknownNode, to)
+	}
+	return h, failed, nil
+}
+
 // Call performs a synchronous simulated RPC. The request leaves `from` at
 // virtual time `at`; the returned VTime is when the response arrives back
 // at `from`. Traffic is accounted in both directions. A call from a node
 // to itself is free and does not count as network traffic.
 func (n *Network) Call(from, to Addr, method string, req Payload, at VTime) (Payload, VTime, error) {
-	n.mu.RLock()
-	h, ok := n.nodes[to]
-	failed := n.failed[to]
-	n.mu.RUnlock()
-
+	h, failed, err := n.lookup(to)
+	if err != nil {
+		return nil, at, err
+	}
 	if from == to {
-		if !ok {
-			return nil, at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-		}
 		return h.HandleCall(at, method, req)
 	}
-	if !ok {
-		return nil, at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	rec := n.Recorder()
-	flt := n.FlightRecorder()
-	faults := n.Faults()
-	reqSize := payloadSize(req)
-	n.account(method, DirRequest, reqSize)
-	if failed || faults.crashed(to, at) {
-		// The request is sent (and counted) but never answered.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return nil, lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if faults.drop(from, to, method, DirRequest, at, reqSize) {
-		// Request leg lost: the handler never runs, and the caller only
-		// learns by timing out.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return nil, lost, fmt.Errorf("%w: %s %s", ErrMessageLost, method, to)
-	}
-	arrive := at.Add(n.transferDelay(from, to, reqSize))
-	if faults.crashed(to, arrive) {
-		// The node crashed while the request was in flight.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "in-flight crash")
-		}
-		return nil, lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(req), method, from, to, reqSize, at, arrive, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, from, to, at, arrive, "")
+	hk := *n.hooks.Load()
+	m := message{dir: DirRequest, tc: trace.CtxOf(req), method: method, from: from, to: to, size: payloadSize(req)}
+	arrive, err := n.leg(hk, m, at, failed)
+	if err != nil {
+		return nil, arrive, err
 	}
 	resp, done, err := n.deliver(h, from, to, method, req, arrive)
+	m.dir, m.from, m.to = DirResponse, to, from
 	if err != nil {
 		// Error responses travel back as a small control message, exempt
 		// from loss draws: dropping a 16-byte error ack would only mask
 		// the application error behind ErrReplyLost without creating any
 		// new caller obligation.
-		n.account(method, DirResponse, 0)
+		m.size = 0
+		n.account(method, 0)
 		back := done.Add(n.transferDelay(to, from, 16))
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req).Child(trace.ResponseSeq), method, to, from, 0, done, back, "error")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, to, from, done, back, "error")
-		}
+		observe(hk, m, flight.KindDeliver, done, back, "error")
 		return nil, back, err
 	}
-	respSize := payloadSize(resp)
-	n.account(method, DirResponse, respSize)
-	if faults.drop(to, from, method, DirResponse, done, respSize) {
-		// Reply leg lost: the handler DID run — its side effects stand —
-		// but the caller times out. Retrying re-executes the handler, so
-		// retried mutating handlers must be idempotent (faultpath rule).
-		lost := done.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req).Child(trace.ResponseSeq), method, to, from, respSize, done, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(req), method, to, from, done, lost, "reply")
-		}
-		return nil, lost, fmt.Errorf("%w: %s %s", ErrReplyLost, method, to)
-	}
-	back := done.Add(n.transferDelay(to, from, respSize))
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(req).Child(trace.ResponseSeq), method, to, from, respSize, done, back, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, to, from, done, back, "")
+	m.size = payloadSize(resp)
+	back, err := n.leg(hk, m, done, false)
+	if err != nil {
+		return nil, back, err
 	}
 	return resp, back, nil
 }
@@ -531,64 +427,18 @@ func (n *Network) Call(from, to Addr, method string, req Payload, at VTime) (Pay
 // handler is invoked with the method and payload; its response payload is
 // discarded.
 func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTime, error) {
-	n.mu.RLock()
-	h, ok := n.nodes[to]
-	failed := n.failed[to]
-	n.mu.RUnlock()
+	h, failed, err := n.lookup(to)
+	if err != nil {
+		return at, err
+	}
 	if from == to {
-		if !ok {
-			return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-		}
 		_, done, err := h.HandleCall(at, method, req)
 		return done, err
 	}
-	if !ok {
-		return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	rec := n.Recorder()
-	flt := n.FlightRecorder()
-	faults := n.Faults()
-	size := payloadSize(req)
-	n.account(method, DirOneWay, size)
-	if failed || faults.crashed(to, at) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if faults.drop(from, to, method, DirOneWay, at, size) {
-		// A one-way message carries no acknowledgement: the sender's clock
-		// advances only by the wire cost it paid, and the loss error is
-		// advisory (fire-and-forget senders ignore it by declaration).
-		lost := at.Add(n.transferDelay(from, to, size))
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(req), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s %s", ErrMessageLost, method, to)
-	}
-	arrive := at.Add(n.transferDelay(from, to, size))
-	if faults.crashed(to, arrive) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(req), method, from, to, at, lost, "in-flight crash")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(req), method, from, to, size, at, arrive, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(req), method, from, to, at, arrive, "")
+	m := message{dir: DirOneWay, tc: trace.CtxOf(req), method: method, from: from, to: to, size: payloadSize(req)}
+	arrive, err := n.leg(*n.hooks.Load(), m, at, failed)
+	if err != nil {
+		return arrive, err
 	}
 	_, done, err := n.deliver(h, from, to, method, req, arrive)
 	return done, err
@@ -602,64 +452,12 @@ func (n *Network) Send(from, to Addr, method string, req Payload, at VTime) (VTi
 // failed nodes are accounted (the data was sent) and report ErrUnreachable
 // after the failure timeout; transfers to unknown nodes fail immediately.
 func (n *Network) Transfer(from, to Addr, method string, payload Payload, at VTime) (VTime, error) {
-	n.mu.RLock()
-	_, ok := n.nodes[to]
-	failed := n.failed[to]
-	n.mu.RUnlock()
-	if from == to {
-		if !ok {
-			return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-		}
-		return at, nil
+	_, failed, err := n.lookup(to)
+	if err != nil || from == to {
+		return at, err
 	}
-	if !ok {
-		return at, fmt.Errorf("%w: %s", ErrUnknownNode, to)
-	}
-	rec := n.Recorder()
-	flt := n.FlightRecorder()
-	faults := n.Faults()
-	size := payloadSize(payload)
-	n.account(method, DirTransfer, size)
-	if failed || faults.crashed(to, at) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(payload), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if faults.drop(from, to, method, DirTransfer, at, size) {
-		// The data never arrives; the sender learns by missing the
-		// application-level follow-up and times out.
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, lost, "lost")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindLost, trace.CtxOf(payload), method, from, to, at, lost, "")
-		}
-		return lost, fmt.Errorf("%w: %s %s", ErrMessageLost, method, to)
-	}
-	arrive := at.Add(n.transferDelay(from, to, size))
-	if faults.crashed(to, arrive) {
-		lost := at.Add(n.cfg.FailTimeout)
-		if rec != nil {
-			n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, lost, "unreachable")
-		}
-		if flt != nil {
-			flightMsg(flt, flight.KindUnreachable, trace.CtxOf(payload), method, from, to, at, lost, "in-flight crash")
-		}
-		return lost, fmt.Errorf("%w: %s", ErrUnreachable, to)
-	}
-	if rec != nil {
-		n.recordMsg(rec, trace.CtxOf(payload), method, from, to, size, at, arrive, "")
-	}
-	if flt != nil {
-		flightMsg(flt, flight.KindDeliver, trace.CtxOf(payload), method, from, to, at, arrive, "")
-	}
-	return arrive, nil
+	m := message{dir: DirTransfer, tc: trace.CtxOf(payload), method: method, from: from, to: to, size: payloadSize(payload)}
+	return n.leg(*n.hooks.Load(), m, at, failed)
 }
 
 func payloadSize(p Payload) int {
@@ -669,26 +467,106 @@ func payloadSize(p Payload) int {
 	return p.SizeBytes()
 }
 
-// recordMsg emits one message span. The span's identity comes from the
-// payload's TraceContext (zero context → the untraced query-0 lane), its
-// interval from the charged virtual times, never from wall clocks.
-func (n *Network) recordMsg(rec trace.Recorder, tc trace.TraceContext, method string, from, to Addr, size int, start, end VTime, note string) {
-	rec.Record(trace.Span{
-		Query:  tc.Query,
-		ID:     tc.Span,
-		Parent: tc.Parent,
-		Kind:   trace.KindMessage,
-		Name:   method,
-		From:   string(from),
-		To:     string(to),
-		Start:  int64(start),
-		End:    int64(end),
-		Bytes:  size,
-		Note:   note,
-	})
+// message identifies one leg: its direction, the payload's trace context
+// (a response leg keeps the request's), method, endpoints and wire size.
+type message struct {
+	dir      string
+	tc       trace.TraceContext
+	method   string
+	from, to Addr
+	size     int
 }
 
-func (n *Network) account(method, dir string, size int) {
+// leg accounts one message departing at `at` and decides its fate. It
+// returns the arrival time at m.to, or the time at which the sender gives
+// up together with the typed error:
+//   - unreachable: the destination is failed or inside a crash window at
+//     departure; costs FailTimeout.
+//   - lost: the FaultPlan drop draw fails; costs FailTimeout, except a
+//     one-way Send, which carries no acknowledgement and is charged only
+//     its wire cost (the loss error is advisory).
+//   - in-flight crash: the destination crashes before arrival; costs
+//     FailTimeout.
+//
+// A response leg answers a handler that already ran, so it can only be
+// lost — its side effects stand and retrying re-executes the handler,
+// which is why retried mutating handlers must be idempotent (faultpath
+// rule). The hooks come by value: they are the operation's one snapshot,
+// and a pointer parameter would read as caller-visible state to the
+// faultpath rule, which would then flag every caller's later sends.
+func (n *Network) leg(h hooks, m message, at VTime, failed bool) (VTime, error) {
+	n.account(m.method, m.size)
+	reply := m.dir == DirResponse
+	timeout := at.Add(n.cfg.FailTimeout)
+	if !reply && (failed || h.faults.crashed(m.to, at)) {
+		observe(h, m, flight.KindUnreachable, at, timeout, "")
+		return timeout, fmt.Errorf("%w: %s", ErrUnreachable, m.to)
+	}
+	if h.faults.drop(m.from, m.to, m.method, m.dir, at, m.size) {
+		if reply {
+			observe(h, m, flight.KindLost, at, timeout, "reply")
+			return timeout, fmt.Errorf("%w: %s %s", ErrReplyLost, m.method, m.from)
+		}
+		if m.dir == DirOneWay {
+			timeout = at.Add(n.transferDelay(m.from, m.to, m.size))
+		}
+		observe(h, m, flight.KindLost, at, timeout, "")
+		return timeout, fmt.Errorf("%w: %s %s", ErrMessageLost, m.method, m.to)
+	}
+	arrive := at.Add(n.transferDelay(m.from, m.to, m.size))
+	if !reply && h.faults.crashed(m.to, arrive) {
+		observe(h, m, flight.KindUnreachable, at, timeout, "in-flight crash")
+		return timeout, fmt.Errorf("%w: %s", ErrUnreachable, m.to)
+	}
+	observe(h, m, flight.KindDeliver, at, arrive, "")
+	return arrive, nil
+}
+
+// observe reports one accounted leg: one message span and one flight
+// event in the sender's ring, kind being the leg's outcome (deliver,
+// lost, unreachable). The span's identity comes from the trace context
+// (zero context → the untraced query-0 lane; a response leg derives its
+// ResponseSeq child), its interval from the charged virtual times, never
+// from wall clocks. A failed leg's span is noted with its outcome, a
+// delivered one with note; the flight event always carries note.
+func observe(h hooks, m message, kind string, start, end VTime, note string) {
+	if h.rec != nil {
+		tc, spanNote := m.tc, note
+		if m.dir == DirResponse {
+			tc = tc.Child(trace.ResponseSeq)
+		}
+		if kind != flight.KindDeliver {
+			spanNote = kind
+		}
+		h.rec.Record(trace.Span{
+			Query:  tc.Query,
+			ID:     tc.Span,
+			Parent: tc.Parent,
+			Kind:   trace.KindMessage,
+			Name:   m.method,
+			From:   string(m.from),
+			To:     string(m.to),
+			Start:  int64(start),
+			End:    int64(end),
+			Bytes:  m.size,
+			Note:   spanNote,
+		})
+	}
+	if h.flt != nil {
+		h.flt.Emit(flight.Event{
+			Node:   string(m.from),
+			Kind:   kind,
+			VT:     int64(start),
+			End:    int64(end),
+			Peer:   string(m.to),
+			Method: m.method,
+			Query:  m.tc.Query,
+			Note:   note,
+		})
+	}
+}
+
+func (n *Network) account(method string, size int) {
 	m := &n.metrics
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -704,21 +582,6 @@ func (n *Network) account(method, dir string, size int) {
 	}
 	st.Messages++
 	st.Bytes += int64(size)
-	if m.perDir == nil {
-		m.perDir = map[string]map[string]*MethodStats{}
-	}
-	dm, ok := m.perDir[dir]
-	if !ok {
-		dm = map[string]*MethodStats{}
-		m.perDir[dir] = dm
-	}
-	ds, ok := dm[method]
-	if !ok {
-		ds = &MethodStats{}
-		dm[method] = ds
-	}
-	ds.Messages++
-	ds.Bytes += int64(size)
 }
 
 // Metrics returns a snapshot of the traffic counters.
@@ -727,25 +590,17 @@ func (n *Network) Metrics() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := Snapshot{
-		Messages:     m.messages,
-		Bytes:        m.bytes,
-		PerMethod:    make(map[string]MethodStats, len(m.perMethod)),
-		PerDirection: make(map[string]map[string]MethodStats, len(m.perDir)),
+		Messages:  m.messages,
+		Bytes:     m.bytes,
+		PerMethod: make(map[string]MethodStats, len(m.perMethod)),
 	}
 	for k, v := range m.perMethod {
 		out.PerMethod[k] = *v
 	}
-	for dir, methods := range m.perDir {
-		dm := make(map[string]MethodStats, len(methods))
-		for k, v := range methods {
-			dm[k] = *v
-		}
-		out.PerDirection[dir] = dm
-	}
 	return out
 }
 
-// ResetMetrics zeroes all counters, including the per-direction maps.
+// ResetMetrics zeroes all counters.
 func (n *Network) ResetMetrics() {
 	m := &n.metrics
 	m.mu.Lock()
@@ -753,5 +608,4 @@ func (n *Network) ResetMetrics() {
 	m.messages = 0
 	m.bytes = 0
 	m.perMethod = map[string]*MethodStats{}
-	m.perDir = map[string]map[string]*MethodStats{}
 }
