@@ -11,6 +11,7 @@ import (
 // callSite is one statically resolved call inside a function body.
 type callSite struct {
 	callee *types.Func
+	call   *ast.CallExpr
 	pos    token.Pos
 	// recv is the rendered receiver chain of a method call ("n",
 	// "s.table"), or "" for plain function calls and unrenderable
@@ -22,32 +23,13 @@ type callSite struct {
 	inGo bool
 }
 
-// funcNode is one analyzed function in the call graph.
+// funcNode is one function declaration of the program model.
 type funcNode struct {
-	obj   *types.Func
-	decl  *ast.FuncDecl
-	pkg   *Package
-	calls []callSite
-}
-
-// callGraph indexes every function declared in the analyzed packages and
-// the statically resolvable calls between them. Interface-method calls
-// (including simnet's Handler.HandleCall dispatch) are deliberately not
-// resolved: following them would smear every handler's behavior onto every
-// fabric call site.
-type callGraph struct {
-	funcs map[*types.Func]*funcNode
-}
-
-func buildCallGraph(prog *Program) *callGraph {
-	g := &callGraph{funcs: map[*types.Func]*funcNode{}}
-	prog.eachFuncDecl(func(p *Package, decl *ast.FuncDecl, obj *types.Func) {
-		g.funcs[obj] = &funcNode{obj: obj, decl: decl, pkg: p}
-	})
-	for _, node := range g.funcs {
-		node.calls = collectCalls(node.pkg, node.decl)
-	}
-	return g
+	obj    *types.Func
+	decl   *ast.FuncDecl
+	pkg    *Package
+	calls  []callSite    // static calls, in source order
+	fabric []*fabricCall // fabric call sites, in source order
 }
 
 // collectCalls finds the statically resolvable calls in one body.
@@ -68,6 +50,7 @@ func collectCalls(p *Package, fn *ast.FuncDecl) []callSite {
 		}
 		calls = append(calls, callSite{
 			callee: callee,
+			call:   call,
 			pos:    call.Pos(),
 			recv:   recv,
 			inGo:   goCalls[call],

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -82,7 +83,9 @@ func LintPackage(p *Package, enabled map[string]bool) []Diagnostic {
 	if on(ruleDiscardedError) {
 		diags = append(diags, checkDiscardedErrors(p)...)
 	}
-	diags = filterIgnored(p, diags)
+	ignores := directiveTable{}
+	ignores.scan(p)
+	diags = ignores.filter(diags)
 	sortDiagnostics(diags)
 	return diags
 }
@@ -102,11 +105,7 @@ func LintProgram(prog *Program, enabled map[string]bool) []Diagnostic {
 	diags = append(diags, checkCodec(prog, enabled)...)
 	diags = append(diags, checkFaultPath(prog, enabled)...)
 	diags = append(diags, checkRaceFree(prog, enabled)...)
-	ignores := map[ignoreKey][]string{}
-	for _, p := range prog.Pkgs {
-		collectIgnores(p, ignores)
-	}
-	diags = applyIgnores(ignores, diags)
+	diags = prog.directives().filter(diags)
 	sortDiagnostics(diags)
 	return diags
 }
@@ -131,74 +130,30 @@ func diagAt(p *Package, pos token.Pos, rule, msg string) Diagnostic {
 	return Diagnostic{Pos: p.Fset.Position(pos), Rule: rule, Msg: msg}
 }
 
-// ignoreKey identifies one source line.
-type ignoreKey struct {
-	file string
-	line int
-}
-
-// filterIgnored drops diagnostics suppressed by an "//adhoclint:ignore
-// [rule,...] reason" comment on the same line or the line directly above.
-// A directive with no rule list suppresses every rule on that line.
-func filterIgnored(p *Package, diags []Diagnostic) []Diagnostic {
-	ignores := map[ignoreKey][]string{}
-	collectIgnores(p, ignores)
-	return applyIgnores(ignores, diags)
-}
-
-// collectIgnores records the package's ignore directives into the map.
-func collectIgnores(p *Package, ignores map[ignoreKey][]string) {
-	for _, f := range p.AllFiles() {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				text := strings.TrimPrefix(c.Text, "//")
-				text = strings.TrimSpace(text)
-				rest, ok := strings.CutPrefix(text, "adhoclint:ignore")
-				if !ok {
-					continue
-				}
-				pos := p.Fset.Position(c.Pos())
-				ignores[ignoreKey{pos.Filename, pos.Line}] = parseIgnoreRules(rest)
-			}
-		}
-	}
-}
-
-func applyIgnores(ignores map[ignoreKey][]string, diags []Diagnostic) []Diagnostic {
-	if len(ignores) == 0 {
-		return diags
-	}
+// filter drops the diagnostics suppressed by an "//adhoclint:ignore
+// rule,... reason" directive on the same line or the line directly above.
+// A directive suppresses only the rules it names.
+func (t directiveTable) filter(diags []Diagnostic) []Diagnostic {
 	var kept []Diagnostic
 	for _, d := range diags {
-		if ignoreMatches(ignores, d, 0) || ignoreMatches(ignores, d, -1) {
-			continue
+		if !t.ignores(d, d.Pos.Line) && !t.ignores(d, d.Pos.Line-1) {
+			kept = append(kept, d)
 		}
-		kept = append(kept, d)
 	}
 	return kept
 }
 
-func ignoreMatches(ignores map[ignoreKey][]string, d Diagnostic, off int) bool {
-	rules, ok := ignores[ignoreKey{d.Pos.Filename, d.Pos.Line + off}]
-	if !ok {
-		return false
-	}
-	if len(rules) == 0 {
-		return true
-	}
-	for _, r := range rules {
-		if r == d.Rule {
-			return true
-		}
-	}
-	return false
+func (t directiveTable) ignores(d Diagnostic, line int) bool {
+	dir := t[lineKey{d.Pos.Filename, line}]
+	return dir != nil && dir.kind == dirIgnore && slices.Contains(parseIgnoreRules(dir.rest), d.Rule)
 }
 
 // parseIgnoreRules parses the rule list of an ignore directive: a
 // comma-separated sequence of rule names, each optionally followed by a
 // parenthesized reason — "wireiso(rows copied by caller), vtime". Free
 // text that is not a rule name ends the list; a directive whose list
-// comes out empty suppresses every rule on its line.
+// comes out empty (a bare ignore, or a misspelled rule name) suppresses
+// nothing.
 func parseIgnoreRules(rest string) []string {
 	rules := []string{}
 	i := 0

@@ -2,10 +2,14 @@ package main
 
 import (
 	"fmt"
+	"go/importer"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -29,20 +33,7 @@ func rules(names ...string) map[string]bool {
 // be exercised without moving fixtures into the real tree).
 func loadFixture(t *testing.T, name, importPath string) *Package {
 	t.Helper()
-	modRoot, modPath, err := findModule(".")
-	if err != nil {
-		t.Fatalf("findModule: %v", err)
-	}
-	l := newLoader(modRoot, modPath)
-	dir := filepath.Join("testdata", "src", name)
-	got, err := l.load(dir, importPath)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", name, err)
-	}
-	if len(got.pkg.TypeErrs) > 0 {
-		t.Fatalf("fixture %s has type errors: %v", name, got.pkg.TypeErrs)
-	}
-	return got.pkg
+	return loadFixtureProgram(t, name, importPath).Pkgs[0]
 }
 
 // collectWants maps "file:line" to the expected message fragments there.
@@ -68,6 +59,26 @@ func checkFixture(t *testing.T, name, importPath string, enabled map[string]bool
 	matchWants(t, collectWants(p), LintPackage(p, enabled))
 }
 
+// Every fixture gets its own loader, so one fixture's handlers never leak
+// into another's whole-program rules through loadedPackages. The loaders
+// share only the standard library: one FileSet and one source importer,
+// serialized because the source importer is not safe for concurrent use.
+var (
+	fixtureFset = token.NewFileSet()
+	fixtureStd  = &lockedImporter{imp: importer.ForCompiler(fixtureFset, "source", nil)}
+)
+
+type lockedImporter struct {
+	mu  sync.Mutex
+	imp types.Importer
+}
+
+func (li *lockedImporter) Import(path string) (*types.Package, error) {
+	li.mu.Lock()
+	defer li.mu.Unlock()
+	return li.imp.Import(path)
+}
+
 // loadFixtureProgram wraps one fixture package in a Program so the
 // whole-program rules can run over it (dependencies resolved through the
 // loader are visible to the rules but not reported on).
@@ -78,6 +89,7 @@ func loadFixtureProgram(t *testing.T, name, importPath string) *Program {
 		t.Fatalf("findModule: %v", err)
 	}
 	l := newLoader(modRoot, modPath)
+	l.fset, l.std = fixtureFset, fixtureStd
 	got, err := l.load(filepath.Join("testdata", "src", name), importPath)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
@@ -121,6 +133,7 @@ func matchWants(t *testing.T, wants map[string][]string, diags []Diagnostic) {
 }
 
 func TestGuardedFieldRule(t *testing.T) {
+	t.Parallel()
 	checkFixture(t, "guarded", "adhocshare/fixture/guarded", rules(ruleGuarded))
 }
 
@@ -128,16 +141,19 @@ func TestGuardedFieldRule(t *testing.T) {
 // (channel fields sit after mu but are used unlocked once released), so
 // only the lock-blocking rule runs over it.
 func TestLockBlockingRule(t *testing.T) {
+	t.Parallel()
 	checkFixture(t, "locked", "adhocshare/fixture/locked", rules(ruleLockBlocking))
 }
 
 func TestDeterminismRule(t *testing.T) {
+	t.Parallel()
 	checkFixture(t, "determinism", "adhocshare/internal/fixture/determinism", rules(ruleDeterminism))
 }
 
 // The determinism rule only covers internal/ packages: the same fixture
 // loaded under a non-internal path must be silent.
 func TestDeterminismRuleSkipsNonInternal(t *testing.T) {
+	t.Parallel()
 	p := loadFixture(t, "determinism", "adhocshare/fixture/determinism")
 	if diags := LintPackage(p, rules(ruleDeterminism)); len(diags) != 0 {
 		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
@@ -145,10 +161,12 @@ func TestDeterminismRuleSkipsNonInternal(t *testing.T) {
 }
 
 func TestGoroutineRule(t *testing.T) {
+	t.Parallel()
 	checkFixture(t, "goroutines", "adhocshare/fixture/goroutines", rules(ruleGoroutine))
 }
 
 func TestDiscardedErrorRule(t *testing.T) {
+	t.Parallel()
 	checkFixture(t, "discarderr", "adhocshare/fixture/discarderr", rules(ruleDiscardedError))
 }
 
@@ -157,6 +175,7 @@ func TestDiscardedErrorRule(t *testing.T) {
 // all rules enabled — loaded under an internal path so the determinism
 // rule is in scope and the directive is what silences it.
 func TestCleanFixtureAllRules(t *testing.T) {
+	t.Parallel()
 	p := loadFixture(t, "clean", "adhocshare/internal/fixture/clean")
 	if diags := LintPackage(p, nil); len(diags) != 0 {
 		for _, d := range diags {
@@ -166,12 +185,14 @@ func TestCleanFixtureAllRules(t *testing.T) {
 }
 
 func TestLockOrderRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "lockorder", "adhocshare/fixture/lockorder", rules(ruleLockOrder, ruleLockBlocking))
 }
 
 // The lock-order cycle diagnostic must carry witness call chains for both
 // edges, including the transitive one through touchA.
 func TestLockOrderCycleWitness(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "lockorder", "adhocshare/fixture/lockorder")
 	var cycle *Diagnostic
 	for _, d := range LintProgram(prog, rules(ruleLockOrder)) {
@@ -195,14 +216,17 @@ func TestLockOrderCycleWitness(t *testing.T) {
 }
 
 func TestRPCProtocolRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "rpcproto", "adhocshare/fixture/rpcproto", rules(ruleRPCProto))
 }
 
 func TestPayloadSizeRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "payloadsize", "adhocshare/fixture/payloadsize", rules(rulePayloadSize))
 }
 
 func TestWireIsoRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "wireiso", "adhocshare/fixture/wireiso", rules(ruleWireIso))
 }
 
@@ -210,6 +234,7 @@ func TestWireIsoRule(t *testing.T) {
 // payload field, the aliased owner, and — for interprocedural findings —
 // the helper the argument flows through.
 func TestWireIsoWitnessChain(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "wireiso", "adhocshare/fixture/wireiso")
 	diags := LintProgram(prog, rules(ruleWireIso))
 	var alias, oblig *Diagnostic
@@ -247,11 +272,13 @@ func TestWireIsoWitnessChain(t *testing.T) {
 // The vtime fixture must sit under internal/: the rule only covers the
 // simulated node implementations.
 func TestVTimeRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "vtime", "adhocshare/internal/fixture/vtime", rules(ruleVTime))
 }
 
 // The vtime rule loaded under a non-internal path must be silent.
 func TestVTimeRuleSkipsNonInternal(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "vtime", "adhocshare/fixture/vtime")
 	if diags := LintProgram(prog, rules(ruleVTime)); len(diags) != 0 {
 		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
@@ -262,6 +289,7 @@ func TestVTimeRuleSkipsNonInternal(t *testing.T) {
 // payload that aliased node state is now deep-copied or documented
 // immutable, and all fabric fan-out flows through simnet.Parallel.
 func TestWireRulesCleanOnRealTree(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping whole-module load in -short mode")
 	}
@@ -276,11 +304,13 @@ func TestWireRulesCleanOnRealTree(t *testing.T) {
 }
 
 func TestAllocRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "alloc", "adhocshare/internal/fixture/alloc", rules(ruleAlloc))
 }
 
 // The alloc rule loaded under a non-internal path must be silent.
 func TestAllocRuleSkipsNonInternal(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "alloc", "adhocshare/fixture/alloc")
 	if diags := LintProgram(prog, rules(ruleAlloc)); len(diags) != 0 {
 		t.Errorf("non-internal package should be exempt, got %d diagnostics: %v", len(diags), diags)
@@ -290,6 +320,7 @@ func TestAllocRuleSkipsNonInternal(t *testing.T) {
 // Every alloc finding names why its function is hot: a chain from the
 // HandleCall entry point, or the fabric call the function reaches.
 func TestAllocWitnessChains(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "alloc", "adhocshare/internal/fixture/alloc")
 	diags := LintProgram(prog, rules(ruleAlloc))
 	byFrag := func(frag string) *Diagnostic {
@@ -341,16 +372,19 @@ func diagDump(diags []Diagnostic) string {
 }
 
 func TestCodecRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "codec", "adhocshare/internal/fixture/codec", rules(ruleCodec))
 }
 
 func TestFaultPathRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "faultpath", "adhocshare/internal/fixture/faultpath", rules(ruleFaultPath))
 }
 
 // The faultpath rule covers internal/ and cmd/ packages only; the same
 // fixture loaded outside both trees must stay silent.
 func TestFaultPathSkipsOutOfScope(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "faultpath", "adhocshare/fixture/faultpath")
 	if diags := LintProgram(prog, rules(ruleFaultPath)); len(diags) != 0 {
 		t.Errorf("out-of-scope package should be exempt, got %d diagnostics:\n%s", len(diags), diagDump(diags))
@@ -361,6 +395,7 @@ func TestFaultPathSkipsOutOfScope(t *testing.T) {
 // the call chain carrying the mutation, and the retried-handler finding
 // names the Retry site's enclosing function.
 func TestFaultPathWitnessChains(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "faultpath", "adhocshare/internal/fixture/faultpath")
 	diags := LintProgram(prog, rules(ruleFaultPath))
 	cases := []struct{ finding, witness string }{

@@ -63,10 +63,12 @@ func exprChain(expr ast.Expr) (string, bool) {
 	return "", false
 }
 
-// muEvents collects every Lock/RLock/Unlock/RUnlock call on a
-// convention-named mutex in the function body, with the enclosing
-// block-like node and defer context of each.
-func muEvents(fn *ast.FuncDecl) []muEvent {
+// muEvents collects every Lock/RLock/Unlock/RUnlock call in the function
+// body whose receiver the mutex recognizer accepts — muOwner for the "mu"
+// naming convention, typedMutex for any sync.Mutex/RWMutex-typed
+// expression — with the rendered owner, the enclosing block-like node and
+// the defer context of each.
+func muEvents(fn *ast.FuncDecl, mutex func(ast.Expr) (string, bool)) []muEvent {
 	if fn.Body == nil {
 		return nil
 	}
@@ -90,7 +92,7 @@ func muEvents(fn *ast.FuncDecl) []muEvent {
 		if name != "Lock" && name != "RLock" && name != "Unlock" && name != "RUnlock" {
 			return true
 		}
-		owner, ok := muOwner(sel.X)
+		owner, ok := mutex(sel.X)
 		if !ok {
 			return true
 		}
@@ -121,6 +123,15 @@ func muEvents(fn *ast.FuncDecl) []muEvent {
 	return events
 }
 
+// typedMutex recognizes any sync.Mutex/RWMutex-typed selector chain of
+// the package, whatever its name.
+func typedMutex(p *Package) func(ast.Expr) (string, bool) {
+	return func(x ast.Expr) (string, bool) {
+		owner, ok := exprChain(x)
+		return owner, ok && isSyncMutexType(p.Info, x)
+	}
+}
+
 // muRegions derives held-lock spans from the events of one function body.
 //
 // The heuristic mirrors how the codebase writes critical sections: a Lock
@@ -131,13 +142,11 @@ func muEvents(fn *ast.FuncDecl) []muEvent {
 // block — erring on the side of "still locked", which keeps the
 // guarded-field rule permissive and the blocking rule conservative.
 func muRegions(fn *ast.FuncDecl) []muRegion {
-	return regionsFromEvents(fn, muEvents(fn))
+	return regionsFromEvents(fn, muEvents(fn, muOwner))
 }
 
-// regionsFromEvents derives the held spans from an explicit event list, so
-// analyses with a wider mutex recognizer (the racefree rule accepts any
-// sync.Mutex/RWMutex-typed field, not just the convention name "mu") share
-// the same region heuristic.
+// regionsFromEvents derives the held spans from an event list of any
+// recognizer, so the racefree rule's typed mutexes share the heuristic.
 func regionsFromEvents(fn *ast.FuncDecl, events []muEvent) []muRegion {
 	if len(events) == 0 {
 		return nil

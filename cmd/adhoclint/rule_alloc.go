@@ -11,8 +11,8 @@ import (
 // The hot-path allocation analysis (rule "alloc") finds per-message heap
 // allocations on the fabric hot set: the functions transitively reachable
 // from every HandleCall dispatch entry point, plus the functions that
-// transitively perform simnet Call/Send/Transfer themselves (the
-// touches-fabric fixpoint the vtime rule pioneered). Work in that set runs
+// reach the fabric (the program model's fabric-reach closure, with
+// hotexempt functions as barriers). Work in that set runs
 // once per RPC message, so a stray allocation there multiplies by the
 // message count of every experiment. Inside hot functions the rule flags:
 //
@@ -41,9 +41,6 @@ import (
 // internal/experiments (drivers whose allocations are once per run, not
 // per message, even though they issue fabric calls).
 
-// hotExemptDirective marks a function declaration as deliberately cold.
-const hotExemptDirective = "adhoclint:hotexempt"
-
 // checkAlloc runs the alloc rule over the program.
 func checkAlloc(prog *Program, enabled map[string]bool) []Diagnostic {
 	if enabled != nil && !enabled[ruleAlloc] {
@@ -51,154 +48,49 @@ func checkAlloc(prog *Program, enabled map[string]bool) []Diagnostic {
 	}
 	a := &allocChecker{
 		prog:        prog,
-		simnetPath:  prog.modPath + "/internal/simnet",
-		analyzed:    prog.analyzedSet(),
-		decls:       map[*types.Func]*wireDecl{},
+		reporter:    reporter{rule: ruleAlloc, analyzed: prog.analyzedSet()},
 		exempt:      map[*types.Func]bool{},
-		touches:     map[*types.Func]bool{},
-		directCall:  map[*types.Func]*fabricCall{},
-		fabricVia:   map[*types.Func]*types.Func{},
 		entries:     map[*types.Func]bool{},
 		reachParent: map[*types.Func]*types.Func{},
-		reached:     map[*types.Func]bool{},
 		witnesses:   map[*types.Func]string{},
 	}
-	a.collectDecls()
-	a.computeFabric()
-	a.computeHandlerReach()
-	for _, p := range prog.Pkgs {
-		if p.Info == nil || !a.inScope(p) {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := p.Info.Defs[fn.Name].(*types.Func)
-				if !ok || a.exempt[obj] || !a.hot(obj) {
-					continue
-				}
-				a.checkFunc(p, fn, obj)
-			}
+	for _, node := range prog.allFuncs() {
+		if prog.directiveAt(dirHotExempt, node.decl.Pos()) != nil {
+			a.exempt[node.obj] = true
 		}
 	}
-	sortDiagnostics(a.diags)
+	a.fabric = prog.computeReach(a.exempt)
+	a.computeHandlerReach()
+	for _, node := range prog.allFuncs() {
+		if a.analyzed[node.pkg] && a.inScope(node.pkg) && a.hot(node.obj) {
+			a.checkFunc(node.pkg, node.decl, node.obj)
+		}
+	}
 	return a.diags
 }
 
 type allocChecker struct {
-	prog       *Program
-	simnetPath string
-	analyzed   map[*Package]bool
-	decls      map[*types.Func]*wireDecl
-	exempt     map[*types.Func]bool
-
-	touches    map[*types.Func]bool        // transitively performs a fabric call
-	directCall map[*types.Func]*fabricCall // first direct fabric call in the body
-	fabricVia  map[*types.Func]*types.Func // callee that carried the touches mark
+	prog *Program
+	reporter
+	exempt map[*types.Func]bool // //adhoclint:hotexempt declarations
+	fabric *fabricReach         // reach with the exempt functions as barriers
 
 	entries     map[*types.Func]bool        // HandleCall dispatch entry points
 	reachParent map[*types.Func]*types.Func // BFS tree edge back toward the entry
-	reached     map[*types.Func]bool        // reachable from some entry
 
 	witnesses map[*types.Func]string
-	diags     []Diagnostic
 }
 
 // inScope limits reporting to internal/ packages outside internal/simnet
 // and the internal/experiments drivers.
 func (a *allocChecker) inScope(p *Package) bool {
-	return internalPackage(p) && p.ImportPath != a.simnetPath &&
+	return internalPackage(p) && p.ImportPath != a.prog.simnetPath &&
 		p.ImportPath != a.prog.modPath+"/internal/experiments"
 }
 
 // hot reports whether the function belongs to the fabric hot set.
 func (a *allocChecker) hot(obj *types.Func) bool {
-	return a.touches[obj] || a.reached[obj]
-}
-
-// collectDecls indexes every production function declaration of the loaded
-// packages and records the //adhoclint:hotexempt directives.
-func (a *allocChecker) collectDecls() {
-	for _, p := range a.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			marked := map[int]bool{}
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-					if strings.HasPrefix(text, hotExemptDirective) {
-						marked[p.Fset.Position(cm.Pos()).Line] = true
-					}
-				}
-			}
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				obj, ok := p.Info.Defs[fn.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				a.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				line := p.Fset.Position(fn.Pos()).Line
-				if marked[line] || marked[line-1] {
-					a.exempt[obj] = true
-				}
-			}
-		}
-	}
-}
-
-// computeFabric closes "performs a fabric call" over static calls,
-// recording for every hot function either its first direct fabric call or
-// the callee through which the mark arrived — the downward half of the
-// witness chain. Exempt functions neither carry nor propagate the mark.
-func (a *allocChecker) computeFabric() {
-	for obj, d := range a.decls {
-		if a.exempt[obj] {
-			continue
-		}
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			if a.directCall[obj] != nil {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fc := fabricCallAt(d.pkg, call, a.simnetPath); fc != nil {
-					a.directCall[obj] = fc
-					a.touches[obj] = true
-				}
-			}
-			return true
-		})
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range a.decls {
-			if a.touches[obj] || a.exempt[obj] {
-				continue
-			}
-			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-				if a.touches[obj] {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil &&
-						!a.exempt[callee] && !observabilityNeutral(callee, a.prog.modPath) && a.touches[callee] {
-						a.touches[obj] = true
-						a.fabricVia[obj] = callee
-						changed = true
-					}
-				}
-				return true
-			})
-		}
-	}
+	return a.fabric.touches(obj) || a.hotByHandler(obj)
 }
 
 // computeHandlerReach walks the static call graph breadth-first from every
@@ -206,41 +98,32 @@ func (a *allocChecker) computeFabric() {
 // the upward half of the witness chain. Exempt functions are reachability
 // barriers; trace- and flight-package callees are fabric-neutral by contract.
 func (a *allocChecker) computeHandlerReach() {
-	var queue []*types.Func
-	for obj, d := range a.decls {
-		if a.exempt[obj] || obj.Name() != "HandleCall" {
-			continue
+	var queue []*funcNode
+	for _, node := range a.prog.allFuncs() {
+		if !a.exempt[node.obj] && a.prog.isHandler(node) {
+			a.entries[node.obj] = true
+			queue = append(queue, node)
 		}
-		if !handlerShape(d.pkg, d.decl, a.simnetPath, nil) {
-			continue
-		}
-		a.entries[obj] = true
-		a.reached[obj] = true
-		queue = append(queue, obj)
 	}
 	for len(queue) > 0 {
 		cur := queue[0]
 		queue = queue[1:]
-		d := a.decls[cur]
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
+		for _, c := range cur.calls {
+			callee := a.prog.funcDecl(c.callee)
+			if callee == nil || a.hotByHandler(c.callee) || a.exempt[c.callee] ||
+				observabilityNeutral(c.callee, a.prog.modPath) {
+				continue
 			}
-			callee, _ := staticCallee(d.pkg.Info, call)
-			if callee == nil || a.reached[callee] || a.exempt[callee] ||
-				observabilityNeutral(callee, a.prog.modPath) {
-				return true
-			}
-			if _, hasDecl := a.decls[callee]; !hasDecl {
-				return true
-			}
-			a.reached[callee] = true
-			a.reachParent[callee] = cur
+			a.reachParent[c.callee] = cur.obj
 			queue = append(queue, callee)
-			return true
-		})
+		}
 	}
+}
+
+// hotByHandler reports whether the function is reachable from a HandleCall
+// entry point.
+func (a *allocChecker) hotByHandler(obj *types.Func) bool {
+	return a.entries[obj] || a.reachParent[obj] != nil
 }
 
 // witness renders why a function is hot: the call chain from a HandleCall
@@ -260,7 +143,7 @@ func (a *allocChecker) buildWitness(obj *types.Func) string {
 	if a.entries[obj] {
 		return "HandleCall dispatch entry point"
 	}
-	if a.reached[obj] {
+	if a.hotByHandler(obj) {
 		var chain []string
 		for cur := obj; cur != nil; cur = a.reachParent[cur] {
 			chain = append(chain, funcDisplay(cur))
@@ -275,19 +158,19 @@ func (a *allocChecker) buildWitness(obj *types.Func) string {
 		}
 		return "reached from " + strings.Join(chain, " → ")
 	}
-	if fc := a.directCall[obj]; fc != nil {
+	if fc := a.fabric.direct[obj]; fc != nil {
 		return fmt.Sprintf("performs fabric %s of %q", fc.kind, fc.value)
 	}
 	var chain []string
 	cur := obj
 	for {
 		chain = append(chain, funcDisplay(cur))
-		next, ok := a.fabricVia[cur]
+		next, ok := a.fabric.via[cur]
 		if !ok {
 			break
 		}
 		cur = next
-		if fc := a.directCall[cur]; fc != nil {
+		if fc := a.fabric.direct[cur]; fc != nil {
 			chain = append(chain, funcDisplay(cur))
 			return fmt.Sprintf("reaches fabric %s of %q via %s",
 				fc.kind, fc.value, strings.Join(chain, " → "))
@@ -300,13 +183,9 @@ func (a *allocChecker) buildWitness(obj *types.Func) string {
 	return "reaches the fabric via " + strings.Join(chain, " → ")
 }
 
-// report emits one finding with the hot-path witness appended.
-func (a *allocChecker) report(p *Package, pos token.Pos, obj *types.Func, msg string) {
-	if !a.analyzed[p] {
-		return
-	}
-	a.diags = append(a.diags, diagAt(p, pos, ruleAlloc,
-		fmt.Sprintf("%s (hot path: %s)", msg, a.witness(obj))))
+// reportHot emits one finding with the hot-path witness appended.
+func (a *allocChecker) reportHot(p *Package, pos token.Pos, obj *types.Func, msg string) {
+	a.report(p, pos, fmt.Sprintf("%s (hot path: %s)", msg, a.witness(obj)))
 }
 
 // checkFunc runs the per-function allocation checks over one hot function.
@@ -373,7 +252,7 @@ func (a *allocChecker) checkFmtAllocs(p *Package, fn *ast.FuncDecl, obj *types.F
 		}
 		switch callee.Name() {
 		case "Sprintf", "Sprint", "Sprintln":
-			a.report(p, call.Pos(), obj, fmt.Sprintf(
+			a.reportHot(p, call.Pos(), obj, fmt.Sprintf(
 				"fmt.%s allocates a formatted string per message; use strconv, concatenation or an appended buffer",
 				callee.Name()))
 		}
@@ -401,7 +280,7 @@ func (a *allocChecker) checkStringConcat(p *Package, fn *ast.FuncDecl, obj *type
 		switch asg.Tok {
 		case token.ADD_ASSIGN:
 			if isString(asg.Lhs[0]) {
-				a.report(p, asg.Pos(), obj,
+				a.reportHot(p, asg.Pos(), obj,
 					"string += re-allocates the accumulated string on every step; build the value with one concatenation or an appended buffer")
 			}
 		case token.ASSIGN:
@@ -426,7 +305,7 @@ func (a *allocChecker) checkStringConcat(p *Package, fn *ast.FuncDecl, obj *type
 				left = inner.X
 			}
 			if exprRootObj(p.Info, left) == lhsObj {
-				a.report(p, asg.Pos(), obj,
+				a.reportHot(p, asg.Pos(), obj,
 					"s = s + … re-allocates the accumulated string on every step; build the value with one concatenation or an appended buffer")
 			}
 		}
@@ -496,7 +375,7 @@ func (a *allocChecker) checkLoopGrowth(p *Package, fn *ast.FuncDecl, obj *types.
 				if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" && len(call.Args) > 0 {
 					target := exprRootObj(p.Info, call.Args[0])
 					if target != nil && sizing[target] == noCapSlice && declaredBefore(target, rng) {
-						a.report(p, asg.Pos(), obj, fmt.Sprintf(
+						a.reportHot(p, asg.Pos(), obj, fmt.Sprintf(
 							"%s grows by append on every iteration of this range loop but was declared without capacity; presize with make(…, 0, len(…))",
 							target.Name()))
 					}
@@ -507,7 +386,7 @@ func (a *allocChecker) checkLoopGrowth(p *Package, fn *ast.FuncDecl, obj *types.
 			if idx, ok := unparen(asg.Lhs[0]).(*ast.IndexExpr); ok {
 				target := exprRootObj(p.Info, idx.X)
 				if target != nil && sizing[target] == noHintMap && declaredBefore(target, rng) {
-					a.report(p, asg.Pos(), obj, fmt.Sprintf(
+					a.reportHot(p, asg.Pos(), obj, fmt.Sprintf(
 						"map %s is populated on every iteration of this range loop but was made without a size hint; presize with make(…, len(…))",
 						target.Name()))
 				}
@@ -611,7 +490,7 @@ func (a *allocChecker) checkBoxing(p *Package, fn *ast.FuncDecl, obj *types.Func
 			if at == nil || types.IsInterface(at) || p.Info.Types[arg].IsNil() {
 				continue
 			}
-			a.report(p, arg.Pos(), obj, fmt.Sprintf(
+			a.reportHot(p, arg.Pos(), obj, fmt.Sprintf(
 				"%s is boxed into an empty interface argument of %s, allocating per message; keep the hot path monomorphic",
 				typeDisplay(at), funcDisplay(callee)))
 		}
@@ -629,9 +508,7 @@ func (a *allocChecker) checkLoopClosures(p *Package, fn *ast.FuncDecl, obj *type
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Parallel" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != a.simnetPath {
+		if callee, _ := staticCallee(p.Info, call); !a.prog.isSimnetFunc(callee, "Parallel") {
 			return true
 		}
 		for _, arg := range call.Args {
@@ -646,7 +523,7 @@ func (a *allocChecker) checkLoopClosures(p *Package, fn *ast.FuncDecl, obj *type
 		if !ok || parallelArgs[lit] || !inAnyLoop(loops, lit.Pos()) {
 			return true
 		}
-		a.report(p, lit.Pos(), obj,
+		a.reportHot(p, lit.Pos(), obj,
 			"closure allocated inside a loop captures its environment on every iteration; hoist it out of the loop")
 		return true
 	})

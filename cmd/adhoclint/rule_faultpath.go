@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -51,9 +52,6 @@ import (
 // itself), internal/experiments (drivers own the whole simulated world; an
 // aborted run leaves no surviving state to compensate) and cmd/adhoclint.
 
-// faultPathPrefix is the directive spelling, sans the comment markers.
-const faultPathPrefix = "adhoclint:faultpath"
-
 // The faultpath dispositions.
 const (
 	dispFireAndForget  = "fire-and-forget"
@@ -68,57 +66,11 @@ var faultDispositions = []string{
 	dispFireAndForget, dispAbortAll, dispCollectPartial, dispIdempotent, dispCompensated, dispBenign,
 }
 
-// faultDirective is one parsed //adhoclint:faultpath(...) comment.
-type faultDirective struct {
-	disposition string
-	reason      string
-	pkg         *Package
-	pos         token.Pos
-}
-
-// collectFaultDirectives indexes every faultpath directive of the given
-// packages by the file:line it sits on. A malformed directive (no
-// parenthesized disposition) is recorded with an empty disposition so the
-// validator can complain about it.
-func collectFaultDirectives(pkgs []*Package) map[ignoreKey]*faultDirective {
-	out := map[ignoreKey]*faultDirective{}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-					rest, ok := strings.CutPrefix(text, faultPathPrefix)
-					if !ok {
-						continue
-					}
-					d := parseFaultDirective(rest)
-					d.pkg = p
-					d.pos = c.Pos()
-					pos := p.Fset.Position(c.Pos())
-					out[ignoreKey{pos.Filename, pos.Line}] = d
-				}
-			}
-		}
-	}
-	return out
-}
-
-// parseFaultDirective parses "(disposition, reason)"; the reason may
-// itself contain commas and parentheses.
-func parseFaultDirective(rest string) *faultDirective {
-	rest = strings.TrimSpace(rest)
-	if !strings.HasPrefix(rest, "(") {
-		return &faultDirective{}
-	}
-	body := rest[1:]
-	if i := strings.LastIndex(body, ")"); i >= 0 {
-		body = body[:i]
-	}
-	disp, reason, _ := strings.Cut(body, ",")
-	return &faultDirective{
-		disposition: strings.TrimSpace(disp),
-		reason:      strings.TrimSpace(reason),
-	}
+// faultDisposition splits a faultpath directive's "(disposition, reason)"
+// argument; a malformed directive yields an empty disposition.
+func faultDisposition(d *directive) (disposition, reason string) {
+	disp, reason, _ := strings.Cut(d.arg(), ",")
+	return strings.TrimSpace(disp), strings.TrimSpace(reason)
 }
 
 // checkFaultPath runs the faultpath rule over the program.
@@ -127,57 +79,36 @@ func checkFaultPath(prog *Program, enabled map[string]bool) []Diagnostic {
 		return nil
 	}
 	c := &faultpathChecker{
-		prog:       prog,
-		simnetPath: prog.modPath + "/internal/simnet",
-		analyzed:   prog.analyzedSet(),
-		decls:      map[*types.Func]*wireDecl{},
-		touches:    map[*types.Func]bool{},
-		mutates:    map[*types.Func]*mutInfo{},
-		retried:    map[string][]*retrySite{},
+		prog:     prog,
+		reporter: reporter{rule: ruleFaultPath, analyzed: prog.analyzedSet()},
+		payload:  prog.payloadIface(),
+		reach:    prog.reach(),
+		mutates:  map[*types.Func]*mutInfo{},
+		retried:  map[string][]*retrySite{},
 	}
-	if simnet := prog.simnetTypes(); simnet != nil {
-		if obj := simnet.Scope().Lookup("Payload"); obj != nil {
-			c.payload, _ = obj.Type().Underlying().(*types.Interface)
-		}
-	}
-	c.collectDecls()
-	c.computeTouches()
 	c.computeMutates()
-	c.directives = collectFaultDirectives(c.prog.loadedPackages())
 	c.validateDirectives()
-	for _, p := range prog.Pkgs {
-		if p.Info == nil || !c.inScope(p) {
+	for _, node := range prog.allFuncs() {
+		if !c.analyzed[node.pkg] || !c.inScope(node.pkg) {
 			continue
 		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				c.checkDiscardedErrors(p, fn)
-				c.checkMutateBeforeSend(p, fn)
-				c.checkParallelSites(p, fn)
-				c.checkRetrySites(p, fn)
-			}
-		}
+		p, fn := node.pkg, node.decl
+		c.checkDiscardedErrors(p, fn)
+		c.checkMutateBeforeSend(p, fn)
+		c.checkParallelSites(p, fn)
+		c.checkRetrySites(p, fn)
 	}
 	c.checkRetriedHandlers()
-	sortDiagnostics(c.diags)
 	return c.diags
 }
 
 type faultpathChecker struct {
-	prog       *Program
-	simnetPath string
-	analyzed   map[*Package]bool
-	payload    *types.Interface
-	decls      map[*types.Func]*wireDecl
-	touches    map[*types.Func]bool // transitively performs a fabric call
-	mutates    map[*types.Func]*mutInfo
-	directives map[ignoreKey]*faultDirective
-	retried    map[string][]*retrySite // method wire string → Retry sites
-	diags      []Diagnostic
+	prog *Program
+	reporter
+	payload *types.Interface
+	reach   *fabricReach
+	mutates map[*types.Func]*mutInfo
+	retried map[string][]*retrySite // method wire string → Retry sites
 }
 
 // mutInfo records how a function mutates caller-visible state: a direct
@@ -205,95 +136,40 @@ func (c *faultpathChecker) inScope(p *Package) bool {
 	return internalPackage(p) || cmdPackage(p, mod)
 }
 
-func (c *faultpathChecker) collectDecls() {
-	for _, p := range c.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					c.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				}
-			}
-		}
-	}
-}
-
-// computeTouches closes "performs a fabric call" over static calls — the
-// same fixpoint the vtime rule runs, rebuilt here so the rules stay
-// independently testable.
-func (c *faultpathChecker) computeTouches() {
-	for obj, d := range c.decls {
-		direct := false
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			if direct {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fabricCallAt(d.pkg, call, c.simnetPath) != nil {
-					direct = true
-				}
-			}
-			return true
-		})
-		c.touches[obj] = direct
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range c.decls {
-			if c.touches[obj] {
-				continue
-			}
-			reached := false
-			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-				if reached {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil &&
-						!observabilityNeutral(callee, c.prog.modPath) && c.touches[callee] {
-						reached = true
-					}
-				}
-				return true
-			})
-			if reached {
-				c.touches[obj] = true
-				changed = true
-			}
-		}
-	}
-}
-
-// computeMutates closes "mutates caller-visible state" over static calls.
-// Functions declared faultpath(benign, ...) are excluded: their writes are
-// harmless when the surrounding operation fails.
+// computeMutates closes "mutates caller-visible state" over static calls,
+// level by level, so a witness step always points at a function settled
+// at an earlier level. Functions declared faultpath(benign, ...) are
+// excluded: their writes are harmless when the surrounding operation
+// fails.
 func (c *faultpathChecker) computeMutates() {
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range c.decls {
-			if c.mutates[obj] != nil {
+	var candidates []*funcNode
+	for _, node := range c.prog.allFuncs() {
+		if c.funcDisposition(node.decl) != dispBenign {
+			candidates = append(candidates, node)
+		}
+	}
+	for {
+		next := map[*types.Func]*mutInfo{}
+		for _, node := range candidates {
+			if c.mutates[node.obj] != nil {
 				continue
 			}
-			if fd := c.funcDirective(d.pkg, d.decl); fd != nil && fd.disposition == dispBenign {
-				continue
+			if m := c.firstMutation(node.pkg, node.decl.Body, declTaint(node.pkg, node.decl)); m != nil {
+				next[node.obj] = m
 			}
-			if m := c.firstMutation(d.pkg, d.decl.Body, c.declTaint(d.pkg, d.decl)); m != nil {
-				c.mutates[obj] = m
-				changed = true
-			}
+		}
+		if len(next) == 0 {
+			return
+		}
+		for obj, m := range next {
+			c.mutates[obj] = m
 		}
 	}
 }
 
 // declTaint seeds the caller-visible roots of a declaration: the receiver
 // and every parameter of pointer, map or slice type.
-func (c *faultpathChecker) declTaint(p *Package, fn *ast.FuncDecl) map[types.Object]bool {
+func declTaint(p *Package, fn *ast.FuncDecl) map[types.Object]bool {
 	taint := map[types.Object]bool{}
 	if fn.Recv != nil {
 		for _, field := range fn.Recv.List {
@@ -444,34 +320,36 @@ func (c *faultpathChecker) mutChain(m *mutInfo) string {
 	return " (via " + strings.Join(chain, " → ") + ")"
 }
 
-// directiveAt returns the faultpath directive on the position's line or
-// the line directly above, if any.
-func (c *faultpathChecker) directiveAt(p *Package, pos token.Pos) *faultDirective {
-	position := p.Fset.Position(pos)
-	if d, ok := c.directives[ignoreKey{position.Filename, position.Line}]; ok {
-		return d
+// faultDispositionAt returns the disposition of the faultpath directive
+// attached to a position (its line or the line above); declared is false
+// when there is none.
+func faultDispositionAt(prog *Program, pos token.Pos) (disp string, declared bool) {
+	d := prog.directiveAt(dirFaultPath, pos)
+	if d == nil {
+		return "", false
 	}
-	if d, ok := c.directives[ignoreKey{position.Filename, position.Line - 1}]; ok {
-		return d
-	}
-	return nil
+	disp, _ = faultDisposition(d)
+	return disp, true
 }
 
-// funcDirective returns the faultpath directive attached to a function
-// declaration: in its doc comment, or on the line above the declaration.
-func (c *faultpathChecker) funcDirective(p *Package, fn *ast.FuncDecl) *faultDirective {
+// funcDisposition returns the disposition declared for a function: by a
+// faultpath directive in its doc comment or on the line above the
+// declaration.
+func (c *faultpathChecker) funcDisposition(fn *ast.FuncDecl) string {
+	d := c.prog.directiveAt(dirFaultPath, fn.Pos())
 	if fn.Doc != nil {
 		for _, cm := range fn.Doc.List {
-			text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-			if rest, ok := strings.CutPrefix(text, faultPathPrefix); ok {
-				d := parseFaultDirective(rest)
-				d.pkg = p
-				d.pos = cm.Pos()
-				return d
+			if doc := c.prog.directiveAt(dirFaultPath, cm.Pos()); doc != nil && doc.pos == cm.Pos() {
+				d = doc
+				break
 			}
 		}
 	}
-	return c.directiveAt(p, fn.Pos())
+	if d == nil {
+		return ""
+	}
+	disp, _ := faultDisposition(d)
+	return disp
 }
 
 // validateDirectives reports malformed directives of the analyzed,
@@ -479,25 +357,20 @@ func (c *faultpathChecker) funcDirective(p *Package, fn *ast.FuncDecl) *faultDir
 // is self-explanatory; every other disposition states a claim the code
 // cannot show and must say why it holds.
 func (c *faultpathChecker) validateDirectives() {
-	for _, d := range c.directives {
-		if !c.analyzed[d.pkg] || !c.inScope(d.pkg) {
+	for _, d := range c.prog.directives().sorted(dirFaultPath) {
+		if !c.inScope(d.pkg) {
 			continue
 		}
-		known := false
-		for _, disp := range faultDispositions {
-			if d.disposition == disp {
-				known = true
-			}
-		}
-		if !known {
+		disp, reason := faultDisposition(d)
+		if !slices.Contains(faultDispositions, disp) {
 			c.report(d.pkg, d.pos, fmt.Sprintf(
 				"unknown faultpath disposition %q (have: %s)",
-				d.disposition, strings.Join(faultDispositions, ", ")))
+				disp, strings.Join(faultDispositions, ", ")))
 			continue
 		}
-		if d.reason == "" && d.disposition != dispAbortAll {
+		if reason == "" && disp != dispAbortAll {
 			c.report(d.pkg, d.pos, fmt.Sprintf(
-				"faultpath(%s) requires a reason explaining why the disposition is sound", d.disposition))
+				"faultpath(%s) requires a reason explaining why the disposition is sound", disp))
 		}
 	}
 }
@@ -517,7 +390,7 @@ func (c *faultpathChecker) checkDiscardedErrors(p *Package, fn *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			fc := fabricCallAt(p, rhs, c.simnetPath)
+			fc := fabricCallAt(p, rhs, c.prog.simnetPath)
 			if fc == nil {
 				return true
 			}
@@ -526,39 +399,33 @@ func (c *faultpathChecker) checkDiscardedErrors(p *Package, fn *ast.FuncDecl) {
 			if fc.kind == "Call" {
 				errPos = 2 // (Payload, VTime, error)
 			}
-			if errPos >= len(n.Lhs) || !isBlankIdent(n.Lhs[errPos]) {
+			if errPos >= len(n.Lhs) || !isBlank(n.Lhs[errPos]) {
 				return true
 			}
 			call = rhs
 		case *ast.ExprStmt:
 			rhs, ok := n.X.(*ast.CallExpr)
-			if !ok || handled[rhs] || fabricCallAt(p, rhs, c.simnetPath) == nil {
+			if !ok || handled[rhs] || fabricCallAt(p, rhs, c.prog.simnetPath) == nil {
 				return true
 			}
 			call = rhs
 		default:
 			return true
 		}
-		fc := fabricCallAt(p, call, c.simnetPath)
-		d := c.directiveAt(p, call.Pos())
+		fc := fabricCallAt(p, call, c.prog.simnetPath)
+		disp, declared := faultDispositionAt(c.prog, call.Pos())
 		switch {
-		case d == nil:
+		case !declared:
 			c.report(p, call.Pos(), fmt.Sprintf(
 				"the error of %s of %q is discarded with no declared fault disposition; handle it or annotate //adhoclint:faultpath(fire-and-forget, reason)",
 				fc.kind, fc.value))
-		case d.disposition != dispFireAndForget:
+		case disp != dispFireAndForget:
 			c.report(p, call.Pos(), fmt.Sprintf(
 				"faultpath(%s) does not cover a discarded error; a deliberately unacknowledged %s needs faultpath(fire-and-forget, reason)",
-				d.disposition, fc.kind))
+				disp, fc.kind))
 		}
 		return true
 	})
-}
-
-// isBlankIdent reports whether the expression is the blank identifier.
-func isBlankIdent(e ast.Expr) bool {
-	id, ok := unparen(e).(*ast.Ident)
-	return ok && id.Name == "_"
 }
 
 // checkMutateBeforeSend flags functions that mutate caller-visible state
@@ -567,17 +434,16 @@ func isBlankIdent(e ast.Expr) bool {
 // mutation is the operation itself, and the retried-handler check governs
 // their re-delivery semantics.
 func (c *faultpathChecker) checkMutateBeforeSend(p *Package, fn *ast.FuncDecl) {
-	if fn.Name.Name == "HandleCall" || handlerShape(p, fn, c.simnetPath, c.payload) {
+	if fn.Name.Name == "HandleCall" || handlerShape(p, fn, c.prog.simnetPath, c.payload) {
 		return
 	}
 	if !returnsError(p, fn) {
 		return
 	}
-	if d := c.funcDirective(p, fn); d != nil &&
-		(d.disposition == dispCompensated || d.disposition == dispBenign) {
+	if disp := c.funcDisposition(fn); disp == dispCompensated || disp == dispBenign {
 		return
 	}
-	mut := c.firstMutation(p, fn.Body, c.declTaint(p, fn))
+	mut := c.firstMutation(p, fn.Body, declTaint(p, fn))
 	if mut == nil {
 		return
 	}
@@ -617,10 +483,10 @@ func (c *faultpathChecker) firstFallibleAfter(p *Package, fn *ast.FuncDecl, pos 
 			return true
 		}
 		call, ok := asg.Rhs[0].(*ast.CallExpr)
-		if !ok || call.Pos() <= pos || isBlankIdent(asg.Lhs[len(asg.Lhs)-1]) {
+		if !ok || call.Pos() <= pos || isBlank(asg.Lhs[len(asg.Lhs)-1]) {
 			return true
 		}
-		if fc := fabricCallAt(p, call, c.simnetPath); fc != nil {
+		if fc := fabricCallAt(p, call, c.prog.simnetPath); fc != nil {
 			record(call.Pos(), fmt.Sprintf("%s of %q", fc.kind, fc.value))
 			return true
 		}
@@ -628,11 +494,11 @@ func (c *faultpathChecker) firstFallibleAfter(p *Package, fn *ast.FuncDecl, pos 
 		if callee == nil {
 			return true
 		}
-		if callee.Name() == "Retry" && callee.Pkg() != nil && callee.Pkg().Path() == c.simnetPath {
+		if c.prog.isSimnetFunc(callee, "Retry") {
 			record(call.Pos(), "simnet.Retry")
 			return true
 		}
-		if c.touches[callee] && calleeReturnsError(callee) {
+		if c.reach.touches(callee) && calleeReturnsError(callee) {
 			record(call.Pos(), "call to "+funcDisplay(callee))
 		}
 		return true
@@ -658,19 +524,17 @@ func (c *faultpathChecker) checkParallelSites(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Parallel" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != c.simnetPath {
+		if callee, _ := staticCallee(p.Info, call); !c.prog.isSimnetFunc(callee, "Parallel") {
 			return true
 		}
-		d := c.directiveAt(p, call.Pos())
+		disp, declared := faultDispositionAt(c.prog, call.Pos())
 		switch {
-		case d == nil:
+		case !declared:
 			c.report(p, call.Pos(),
 				"simnet.Parallel fan-out must declare its failure semantics: annotate //adhoclint:faultpath(abort-all) or //adhoclint:faultpath(collect-partial, reason)")
-		case d.disposition != dispAbortAll && d.disposition != dispCollectPartial:
+		case disp != dispAbortAll && disp != dispCollectPartial:
 			c.report(p, call.Pos(), fmt.Sprintf(
-				"faultpath(%s) does not apply to a Parallel fan-out; declare abort-all or collect-partial", d.disposition))
+				"faultpath(%s) does not apply to a Parallel fan-out; declare abort-all or collect-partial", disp))
 		}
 		return true
 	})
@@ -687,10 +551,7 @@ func (c *faultpathChecker) checkRetrySites(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Retry" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != c.simnetPath ||
-			len(call.Args) != 3 {
+		if callee, _ := staticCallee(p.Info, call); !c.prog.isSimnetFunc(callee, "Retry") || len(call.Args) != 3 {
 			return true
 		}
 		lit := resolveOpLiteral(p, fn, call.Args[2])
@@ -700,7 +561,7 @@ func (c *faultpathChecker) checkRetrySites(p *Package, fn *ast.FuncDecl) {
 		var atParam types.Object
 		if len(lit.Type.Params.List) > 0 {
 			field := lit.Type.Params.List[0]
-			if isNamedType(p.Info.Types[field.Type].Type, c.simnetPath, "VTime") && len(field.Names) > 0 {
+			if isNamedType(p.Info.Types[field.Type].Type, c.prog.simnetPath, "VTime") && len(field.Names) > 0 {
 				atParam = p.Info.Defs[field.Names[0]]
 			}
 		}
@@ -709,7 +570,7 @@ func (c *faultpathChecker) checkRetrySites(p *Package, fn *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			fc := fabricCallAt(p, inner, c.simnetPath)
+			fc := fabricCallAt(p, inner, c.prog.simnetPath)
 			if fc == nil {
 				return true
 			}
@@ -789,7 +650,16 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 			constsByValue[mc.value] = mc
 		}
 	}
-	caseMuts := c.handlerCaseMutations(loaded)
+	// Each dispatched method maps to the mutation its handler case performs
+	// (nil for read-only cases); a method dispatched by several handlers
+	// keeps the first mutation found.
+	caseMuts := map[string]*mutInfo{}
+	for _, hc := range c.prog.handlerCases() {
+		mut := c.firstMutation(hc.pkg, &ast.BlockStmt{List: hc.body}, declTaint(hc.pkg, hc.node.decl))
+		if caseMuts[hc.value] == nil {
+			caseMuts[hc.value] = mut
+		}
+	}
 
 	values := make([]string, 0, len(c.retried))
 	for v := range c.retried {
@@ -797,13 +667,13 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 	}
 	sort.Strings(values)
 	for _, value := range values {
-		mut, ok := caseMuts[value]
-		if !ok || mut == nil {
+		mut := caseMuts[value]
+		if mut == nil {
 			continue // handler unknown or read-only
 		}
 		mc := constsByValue[value]
 		if mc != nil {
-			if d := c.directiveAt(mc.pkg, mc.pos); d != nil && d.disposition == dispIdempotent {
+			if disp, _ := faultDispositionAt(c.prog, mc.pos); disp == dispIdempotent {
 				continue
 			}
 		}
@@ -828,67 +698,4 @@ func (c *faultpathChecker) checkRetriedHandlers() {
 			c.report(site.pkg, site.pos, msg)
 		}
 	}
-}
-
-// handlerCaseMutations maps each dispatched method wire string to the
-// mutation its handler case performs (nil for read-only cases). A method
-// dispatched by several handlers keeps the first mutation found.
-func (c *faultpathChecker) handlerCaseMutations(loaded []*Package) map[string]*mutInfo {
-	out := map[string]*mutInfo{}
-	for _, p := range loaded {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "HandleCall" || fn.Body == nil {
-					continue
-				}
-				methodObj, _ := handleCallParams(p, fn)
-				if methodObj == nil {
-					continue
-				}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					sw, ok := n.(*ast.SwitchStmt)
-					if !ok {
-						return true
-					}
-					tag, ok := sw.Tag.(*ast.Ident)
-					if !ok || p.Info.Uses[tag] != methodObj {
-						return true
-					}
-					for _, stmt := range sw.Body.List {
-						cc, ok := stmt.(*ast.CaseClause)
-						if !ok || cc.List == nil {
-							continue
-						}
-						body := &ast.BlockStmt{List: cc.Body}
-						mut := c.firstMutation(p, body, c.declTaint(p, fn))
-						for _, expr := range cc.List {
-							tv := p.Info.Types[expr]
-							if tv.Value == nil {
-								continue
-							}
-							value := strings.Trim(tv.Value.String(), `"`)
-							if _, seen := out[value]; !seen {
-								out[value] = mut
-							} else if out[value] == nil && mut != nil {
-								out[value] = mut
-							}
-						}
-					}
-					return true
-				})
-			}
-		}
-	}
-	return out
-}
-
-func (c *faultpathChecker) report(p *Package, pos token.Pos, msg string) {
-	if !c.analyzed[p] {
-		return
-	}
-	c.diags = append(c.diags, diagAt(p, pos, ruleFaultPath, msg))
 }

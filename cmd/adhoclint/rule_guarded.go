@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 )
 
 // guardedStruct describes one struct that owns a mutex named "mu": per the
@@ -33,7 +34,7 @@ func collectGuardedStructs(files []*ast.File) map[string]guardedStruct {
 			seenMu := false
 			for _, field := range st.Fields.List {
 				if !seenMu {
-					if len(field.Names) == 1 && field.Names[0].Name == "mu" && isSyncMutexType(field.Type) {
+					if len(field.Names) == 1 && field.Names[0].Name == "mu" && isSyncMutexType(nil, field.Type) {
 						seenMu = true
 					}
 					continue
@@ -51,16 +52,21 @@ func collectGuardedStructs(files []*ast.File) map[string]guardedStruct {
 	return out
 }
 
-func isSyncMutexType(t ast.Expr) bool {
-	sel, ok := t.(*ast.SelectorExpr)
+// isSyncMutexType reports whether e — an expression or a type expression —
+// is a sync.Mutex or sync.RWMutex, possibly behind a pointer. Without type
+// information (test files are not type-checked) it judges a type
+// expression by its spelling.
+func isSyncMutexType(info *types.Info, e ast.Expr) bool {
+	if info != nil {
+		t := info.TypeOf(e)
+		return isNamedType(t, "sync", "Mutex") || isNamedType(t, "sync", "RWMutex")
+	}
+	sel, ok := e.(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
 	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || pkg.Name != "sync" {
-		return false
-	}
-	return sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex"
+	return ok && pkg.Name == "sync" && (sel.Sel.Name == "Mutex" || sel.Sel.Name == "RWMutex")
 }
 
 // checkGuardedFields enforces the mu-guards-following-fields convention:

@@ -29,19 +29,20 @@ import (
 // class and contribute no interprocedural facts.
 type lockClass string
 
-// mutexClass classifies the mutex denoted by muExpr (the expression the
-// convention rules already recognize: "mu" or "«chain».mu").
+// mutexClass classifies a mutex expression by declaration site:
+// "«pkgpath».«Type».«field»" for struct fields, "«pkgpath».«name»" for
+// package-level mutexes, "" for locals.
 func mutexClass(p *Package, muExpr ast.Expr) lockClass {
 	if p.Info == nil {
 		return ""
 	}
 	switch e := muExpr.(type) {
-	case *ast.Ident: // plain "mu": package-level or local
+	case *ast.Ident:
 		if v, ok := p.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil &&
 			v.Parent() == v.Pkg().Scope() {
-			return lockClass(v.Pkg().Path() + ".mu")
+			return lockClass(v.Pkg().Path() + "." + v.Name())
 		}
-	case *ast.SelectorExpr: // "«base».mu": classify by the base's type
+	case *ast.SelectorExpr:
 		tv, ok := p.Info.Types[e.X]
 		if !ok {
 			return ""
@@ -51,7 +52,7 @@ func mutexClass(p *Package, muExpr ast.Expr) lockClass {
 			t = ptr.Elem()
 		}
 		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			return lockClass(named.Obj().Pkg().Path() + "." + named.Obj().Name() + ".mu")
+			return lockClass(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name)
 		}
 	}
 	return ""
@@ -92,13 +93,13 @@ type lockSummary struct {
 // buildLockSummaries computes direct lock/block facts per function and
 // closes them over the call graph.
 func buildLockSummaries(prog *Program) map[*types.Func]*lockSummary {
-	cg := prog.CallGraph()
-	sums := make(map[*types.Func]*lockSummary, len(cg.funcs))
-	for obj, node := range cg.funcs {
+	sums := map[*types.Func]*lockSummary{}
+	for _, node := range prog.analyzedFuncs() {
+		events := muEvents(node.decl, muOwner)
 		s := &lockSummary{
 			node:     node,
-			events:   muEvents(node.decl),
-			regions:  muRegions(node.decl),
+			events:   events,
+			regions:  regionsFromEvents(node.decl, events),
 			recvName: recvName(node.decl),
 			acquires: map[lockClass]acqStep{},
 		}
@@ -118,7 +119,7 @@ func buildLockSummaries(prog *Program) map[*types.Func]*lockSummary {
 			}
 		}
 		s.block = directBlock(node.decl)
-		sums[obj] = s
+		sums[node.obj] = s
 	}
 	for changed := true; changed; {
 		changed = false
@@ -313,57 +314,49 @@ func (s *lockSummary) blockDesc(sums map[*types.Func]*lockSummary) string {
 // blockChain renders the call chain from fn to its blocking operation and
 // returns the blocking position.
 func blockChain(sums map[*types.Func]*lockSummary, fn *types.Func) (string, token.Pos) {
-	parts := []string{funcDisplay(fn)}
-	cur := fn
-	for {
-		s, ok := sums[cur]
-		if !ok || s.block == nil {
-			return strings.Join(parts, " → "), token.NoPos
+	return stepChain(fn, func(f *types.Func) (*types.Func, token.Pos, bool) {
+		if s, ok := sums[f]; ok && s.block != nil {
+			return s.block.via, s.block.pos, true
 		}
-		if s.block.via == nil {
-			return strings.Join(parts, " → "), s.block.pos
-		}
-		cur = s.block.via
-		parts = append(parts, funcDisplay(cur))
-	}
+		return nil, token.NoPos, false
+	})
 }
 
 // recvMuChain renders the same-receiver chain from fn to the re-acquiring
 // lock and returns the lock position.
 func recvMuChain(sums map[*types.Func]*lockSummary, fn *types.Func) (string, token.Pos) {
-	parts := []string{funcDisplay(fn)}
-	cur := fn
-	for {
-		s, ok := sums[cur]
-		if !ok || s.recvMu == nil {
-			return strings.Join(parts, " → "), token.NoPos
+	return stepChain(fn, func(f *types.Func) (*types.Func, token.Pos, bool) {
+		if s, ok := sums[f]; ok && s.recvMu != nil {
+			return s.recvMu.via, s.recvMu.pos, true
 		}
-		if s.recvMu.via == nil {
-			return strings.Join(parts, " → "), s.recvMu.pos
-		}
-		cur = s.recvMu.via
-		parts = append(parts, funcDisplay(cur))
-	}
+		return nil, token.NoPos, false
+	})
 }
 
 // acqChain renders the call chain from fn to its acquisition of class cl
 // and returns the lock position.
 func acqChain(sums map[*types.Func]*lockSummary, fn *types.Func, cl lockClass) (string, token.Pos) {
+	return stepChain(fn, func(f *types.Func) (*types.Func, token.Pos, bool) {
+		if s, ok := sums[f]; ok {
+			if step, ok := s.acquires[cl]; ok {
+				return step.via, step.pos, true
+			}
+		}
+		return nil, token.NoPos, false
+	})
+}
+
+// stepChain follows per-function witness steps from fn — via == nil: the
+// step happens in the function itself at pos — and renders the call chain,
+// returning the final step's position (NoPos when the chain breaks off).
+func stepChain(fn *types.Func, step func(*types.Func) (via *types.Func, pos token.Pos, ok bool)) (string, token.Pos) {
 	parts := []string{funcDisplay(fn)}
-	cur := fn
-	for {
-		s, ok := sums[cur]
-		if !ok {
-			return strings.Join(parts, " → "), token.NoPos
+	for cur := fn; ; {
+		via, pos, ok := step(cur)
+		if !ok || via == nil {
+			return strings.Join(parts, " → "), pos
 		}
-		step, ok := s.acquires[cl]
-		if !ok {
-			return strings.Join(parts, " → "), token.NoPos
-		}
-		if step.via == nil {
-			return strings.Join(parts, " → "), step.pos
-		}
-		cur = step.via
+		cur = via
 		parts = append(parts, funcDisplay(cur))
 	}
 }

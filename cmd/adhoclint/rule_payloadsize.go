@@ -21,13 +21,14 @@ func checkPayloadSizes(prog *Program, enabled map[string]bool) []Diagnostic {
 		return nil
 	}
 	var diags []Diagnostic
-	prog.eachFuncDecl(func(p *Package, decl *ast.FuncDecl, obj *types.Func) {
+	for _, node := range prog.analyzedFuncs() {
+		p, decl, obj := node.pkg, node.decl, node.obj
 		if decl.Name.Name != "SizeBytes" || decl.Recv == nil {
-			return
+			continue
 		}
 		sig, ok := obj.Type().(*types.Signature)
 		if !ok || sig.Recv() == nil {
-			return
+			continue
 		}
 		recv := sig.Recv().Type()
 		if ptr, isPtr := recv.(*types.Pointer); isPtr {
@@ -35,17 +36,17 @@ func checkPayloadSizes(prog *Program, enabled map[string]bool) []Diagnostic {
 		}
 		named, ok := recv.(*types.Named)
 		if !ok {
-			return
+			continue
 		}
 		st, ok := named.Underlying().(*types.Struct)
 		if !ok {
-			return // e.g. simnet.Bytes: nothing to cross-check
+			continue // e.g. simnet.Bytes: nothing to cross-check
 		}
 		// trace.TraceContext is zero-width wire metadata by contract (see
-		// trace_knowledge.go): its own SizeBytes returns 0 on purpose, and
+		// observability.go): its own SizeBytes returns 0 on purpose, and
 		// payload structs need not count TraceContext-typed fields.
 		if isTraceContext(named, prog.modPath) {
-			return
+			continue
 		}
 		mentioned := fieldMentions(decl)
 		var missing []string
@@ -61,7 +62,7 @@ func checkPayloadSizes(prog *Program, enabled map[string]bool) []Diagnostic {
 				fmt.Sprintf("SizeBytes of %s does not account for field%s %s",
 					named.Obj().Name(), plural(missing), strings.Join(missing, ", "))))
 		}
-	})
+	}
 	return diags
 }
 

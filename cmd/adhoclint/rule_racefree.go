@@ -46,8 +46,6 @@ import (
 //     node serves traffic). The rule name also participates in the
 //     standard //adhoclint:ignore grammar.
 
-const raceFreePrefix = "adhoclint:racefree"
-
 // raceDebug, when set by a test, observes the checker state after the
 // analysis runs.
 var raceDebug func(*raceChecker, []*raceNodeType)
@@ -101,14 +99,6 @@ func (s *raceSummary) heldAt(pos token.Pos) map[lockClass]bool {
 	return held
 }
 
-// raceDirective is one parsed //adhoclint:racefree(reason) comment.
-type raceDirective struct {
-	reason string
-	pkg    *Package
-	pos    token.Pos
-	used   bool
-}
-
 // raceNodeType is one handler-owning struct with its concurrently
 // invocable entry points.
 type raceNodeType struct {
@@ -126,19 +116,17 @@ type raceSide struct {
 }
 
 type raceChecker struct {
-	prog       *Program
-	simnetPath string
-	analyzed   map[*Package]bool
-	objs       []*types.Func // call-graph functions, sorted by position
-	sums       map[*types.Func]*raceSummary
+	prog *Program
+	reporter
+	nodes []*funcNode // analyzed functions, sorted by position
+	sums  map[*types.Func]*raceSummary
 	// fieldOwner maps every named struct field object of the loaded
 	// packages to its owner key; fieldMutex marks mutex-typed fields.
 	fieldOwner map[*types.Var]string
 	fieldMutex map[*types.Var]bool
-	exemptFld  map[string]bool // "«owner».«field»" exempted by directive
-	directives map[ignoreKey]*raceDirective
-	reported   map[string]bool // "«pos»|«owner».«field»" already diagnosed
-	diags      []Diagnostic
+	exemptFld  map[string]bool     // "«owner».«field»" exempted by directive
+	used       map[*directive]bool // racefree directives that attached
+	reported   map[string]bool     // "«pos»|«owner».«field»" already diagnosed
 }
 
 // checkRaceFree runs the racefree rule over the program.
@@ -148,29 +136,22 @@ func checkRaceFree(prog *Program, enabled map[string]bool) []Diagnostic {
 	}
 	c := &raceChecker{
 		prog:       prog,
-		simnetPath: prog.modPath + "/internal/simnet",
-		analyzed:   prog.analyzedSet(),
+		reporter:   reporter{rule: ruleRaceFree, analyzed: prog.analyzedSet()},
 		sums:       map[*types.Func]*raceSummary{},
 		fieldOwner: map[*types.Var]string{},
 		fieldMutex: map[*types.Var]bool{},
 		exemptFld:  map[string]bool{},
-		directives: map[ignoreKey]*raceDirective{},
+		used:       map[*directive]bool{},
 		reported:   map[string]bool{},
 	}
-	cg := prog.CallGraph()
-	for obj := range cg.funcs {
-		c.objs = append(c.objs, obj)
-	}
-	sort.Slice(c.objs, func(i, j int) bool {
-		return cg.funcs[c.objs[i]].decl.Pos() < cg.funcs[c.objs[j]].decl.Pos()
-	})
-	c.collectDirectives()
+	c.nodes = prog.analyzedFuncs()
+	sort.Slice(c.nodes, func(i, j int) bool { return c.nodes[i].decl.Pos() < c.nodes[j].decl.Pos() })
 	c.indexStructFields()
-	nodeTypes := c.findNodeTypes(cg)
+	nodeTypes := c.findNodeTypes()
 	if len(nodeTypes) > 0 {
-		c.buildSummaries(cg)
+		c.buildSummaries()
 		c.propagate()
-		c.collectRoots(cg, nodeTypes)
+		c.collectRoots(nodeTypes)
 		for _, nt := range nodeTypes {
 			c.reportConflicts(nt)
 		}
@@ -182,52 +163,16 @@ func checkRaceFree(prog *Program, enabled map[string]bool) []Diagnostic {
 	return c.diags
 }
 
-// collectDirectives indexes every racefree directive of the analyzed
-// packages by file:line.
-func (c *raceChecker) collectDirectives() {
-	for _, p := range c.prog.Pkgs {
-		for _, f := range p.Files {
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-					rest, ok := strings.CutPrefix(text, raceFreePrefix)
-					if !ok {
-						continue
-					}
-					d := &raceDirective{reason: parseRaceReason(rest), pkg: p, pos: cm.Pos()}
-					pos := p.Fset.Position(cm.Pos())
-					c.directives[ignoreKey{pos.Filename, pos.Line}] = d
-				}
-			}
-		}
+// directiveAt returns the racefree directive of an analyzed package
+// attached to a declaration position — on the same line or the line
+// directly above — marking it used.
+func (c *raceChecker) directiveAt(pos token.Pos) *directive {
+	d := c.prog.directiveAt(dirRaceFree, pos)
+	if d == nil || !c.analyzed[d.pkg] {
+		return nil
 	}
-}
-
-// parseRaceReason extracts the parenthesized reason of a directive; the
-// reason may itself contain commas and parentheses.
-func parseRaceReason(rest string) string {
-	rest = strings.TrimSpace(rest)
-	if !strings.HasPrefix(rest, "(") {
-		return ""
-	}
-	body := rest[1:]
-	if i := strings.LastIndex(body, ")"); i >= 0 {
-		body = body[:i]
-	}
-	return strings.TrimSpace(body)
-}
-
-// directiveAt returns the directive attached to a declaration position —
-// on the same line or the line directly above — marking it used.
-func (c *raceChecker) directiveAt(p *Package, pos token.Pos) *raceDirective {
-	position := p.Fset.Position(pos)
-	for off := 0; off >= -1; off-- {
-		if d, ok := c.directives[ignoreKey{position.Filename, position.Line + off}]; ok {
-			d.used = true
-			return d
-		}
-	}
-	return nil
+	c.used[d] = true
+	return d
 }
 
 // indexStructFields maps every named struct field object of the loaded
@@ -262,10 +207,10 @@ func (c *raceChecker) indexStructFields() {
 							continue
 						}
 						c.fieldOwner[v] = owner
-						if isMutexType(v.Type()) {
+						if isSyncMutexType(p.Info, field.Type) {
 							c.fieldMutex[v] = true
 						}
-						if c.directiveAt(p, name.Pos()) != nil {
+						if c.directiveAt(name.Pos()) != nil {
 							c.exemptFld[owner+"."+name.Name] = true
 						}
 					}
@@ -274,21 +219,6 @@ func (c *raceChecker) indexStructFields() {
 			})
 		}
 	}
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly
-// behind a pointer).
-func isMutexType(t types.Type) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
 // receiverNamed resolves a method's receiver to its named type.
@@ -307,16 +237,13 @@ func receiverNamed(obj *types.Func) *types.Named {
 
 // findNodeTypes discovers the struct types served by a handler-shaped
 // HandleCall method, sorted by key.
-func (c *raceChecker) findNodeTypes(cg *callGraph) []*raceNodeType {
+func (c *raceChecker) findNodeTypes() []*raceNodeType {
 	byKey := map[string]*raceNodeType{}
-	for _, obj := range c.objs {
-		node := cg.funcs[obj]
-		if obj.Name() != "HandleCall" || node.decl.Recv == nil {
+	for _, node := range c.nodes {
+		if !c.prog.isHandler(node) {
 			continue
 		}
-		if !handlerShape(node.pkg, node.decl, c.simnetPath, nil) {
-			continue
-		}
+		obj := node.obj
 		named := receiverNamed(obj)
 		if named == nil || named.Obj().Pkg() == nil {
 			continue
@@ -346,18 +273,16 @@ func (c *raceChecker) findNodeTypes(cg *callGraph) []*raceNodeType {
 }
 
 // buildSummaries computes the direct access facts of every method.
-func (c *raceChecker) buildSummaries(cg *callGraph) {
-	for _, obj := range c.objs {
-		node := cg.funcs[obj]
+func (c *raceChecker) buildSummaries() {
+	for _, node := range c.nodes {
 		recv := recvName(node.decl)
 		if recv == "" {
 			continue
 		}
-		events := typedMuEvents(node.pkg, node.decl)
-		regions := regionsFromEvents(node.decl, events)
+		regions := regionsFromEvents(node.decl, muEvents(node.decl, typedMutex(node.pkg)))
 		classes := make([]lockClass, len(regions))
 		for i, r := range regions {
-			classes[i] = raceLockClass(node.pkg, r.expr)
+			classes[i] = mutexClass(node.pkg, r.expr)
 		}
 		s := &raceSummary{
 			node:    node,
@@ -367,7 +292,7 @@ func (c *raceChecker) buildSummaries(cg *callGraph) {
 			aliases: collectAliases(recv, node.decl.Body),
 			facts:   map[raceKey]*raceFact{},
 		}
-		c.sums[obj] = s
+		c.sums[node.obj] = s
 		c.collectDirectFacts(s)
 	}
 }
@@ -402,97 +327,6 @@ func (c *raceChecker) collectDirectFacts(s *raceSummary) {
 		mergeRaceFact(s.facts, key, &raceFact{held: s.heldAt(sel.Pos()), pos: sel.Pos(), pkg: p})
 		return true
 	})
-}
-
-// typedMuEvents collects every Lock/RLock/Unlock/RUnlock call on a
-// mutex-typed expression, regardless of its field name — the racefree
-// generalization of the convention-named muEvents.
-func typedMuEvents(p *Package, fn *ast.FuncDecl) []muEvent {
-	if fn.Body == nil || p.Info == nil {
-		return nil
-	}
-	var events []muEvent
-	var stack []ast.Node
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		name := sel.Sel.Name
-		if name != "Lock" && name != "RLock" && name != "Unlock" && name != "RUnlock" {
-			return true
-		}
-		owner, ok := exprChain(sel.X)
-		if !ok {
-			return true
-		}
-		tv, ok := p.Info.Types[sel.X]
-		if !ok || !isMutexType(tv.Type) {
-			return true
-		}
-		var blk ast.Node
-		deferred := false
-		for i := len(stack) - 2; i >= 0; i-- {
-			if d, isDefer := stack[i].(*ast.DeferStmt); isDefer && d.Call == call {
-				deferred = true
-			}
-			if blk == nil {
-				switch stack[i].(type) {
-				case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
-					blk = stack[i]
-				}
-			}
-		}
-		events = append(events, muEvent{
-			pos:      call.Pos(),
-			owner:    owner,
-			lock:     name == "Lock" || name == "RLock",
-			write:    name == "Lock" || name == "Unlock",
-			deferred: deferred,
-			block:    blk,
-			expr:     sel.X,
-		})
-		return true
-	})
-	return events
-}
-
-// raceLockClass classifies a mutex expression by declaration site, like
-// mutexClass but for any field name: "«pkgpath».«Type».«field»" for struct
-// fields, "«pkgpath».«name»" for package-level mutexes, "" for locals.
-func raceLockClass(p *Package, muExpr ast.Expr) lockClass {
-	if p.Info == nil {
-		return ""
-	}
-	switch e := muExpr.(type) {
-	case *ast.Ident:
-		if v, ok := p.Info.Uses[e].(*types.Var); ok && v.Pkg() != nil &&
-			v.Parent() == v.Pkg().Scope() {
-			return lockClass(v.Pkg().Path() + "." + v.Name())
-		}
-	case *ast.SelectorExpr:
-		tv, ok := p.Info.Types[e.X]
-		if !ok {
-			return ""
-		}
-		t := tv.Type
-		if ptr, isPtr := t.(*types.Pointer); isPtr {
-			t = ptr.Elem()
-		}
-		if named, isNamed := t.(*types.Named); isNamed && named.Obj().Pkg() != nil {
-			return lockClass(named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + e.Sel.Name)
-		}
-	}
-	return ""
 }
 
 // collectWriteTargets marks the outermost selector of every written
@@ -671,8 +505,8 @@ func equalHeld(a, b map[lockClass]bool) bool {
 func (c *raceChecker) propagate() {
 	for changed := true; changed; {
 		changed = false
-		for _, obj := range c.objs {
-			s := c.sums[obj]
+		for _, node := range c.nodes {
+			s := c.sums[node.obj]
 			if s == nil {
 				continue
 			}
@@ -724,13 +558,13 @@ func sortedRaceKeys(m map[raceKey]*raceFact) []raceKey {
 
 // collectRoots gathers each node type's entry points: HandleCall plus the
 // exported methods, minus directive-exempted declarations.
-func (c *raceChecker) collectRoots(cg *callGraph, nodeTypes []*raceNodeType) {
+func (c *raceChecker) collectRoots(nodeTypes []*raceNodeType) {
 	byKey := map[string]*raceNodeType{}
 	for _, nt := range nodeTypes {
 		byKey[nt.key] = nt
 	}
-	for _, obj := range c.objs {
-		s := c.sums[obj]
+	for _, node := range c.nodes {
+		obj, s := node.obj, c.sums[node.obj]
 		if s == nil {
 			continue
 		}
@@ -745,7 +579,7 @@ func (c *raceChecker) collectRoots(cg *callGraph, nodeTypes []*raceNodeType) {
 		if obj.Name() != "HandleCall" && !obj.Exported() {
 			continue
 		}
-		if c.directiveAt(s.node.pkg, s.node.decl.Pos()) != nil {
+		if c.directiveAt(s.node.decl.Pos()) != nil {
 			continue
 		}
 		nt.roots = append(nt.roots, obj)
@@ -860,7 +694,7 @@ func (c *raceChecker) reportPair(nt *raceNodeType, w, o *raceSide) {
 			raceSideDesc(kind, oChain, oPos, oPkg, o.fact),
 			nt.display)
 	}
-	c.diags = append(c.diags, diagAt(wPkg, wPos, ruleRaceFree, msg))
+	c.report(wPkg, wPos, msg)
 }
 
 // raceChain walks the witness steps of a side's fact down to the direct
@@ -921,20 +755,12 @@ func heldDesc(held map[lockClass]bool) string {
 // directiveHygiene reports racefree directives that carry no reason or
 // attach to nothing.
 func (c *raceChecker) directiveHygiene() {
-	ds := make([]*raceDirective, 0, len(c.directives))
-	for _, d := range c.directives {
-		ds = append(ds, d)
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].pos < ds[j].pos })
-	for _, d := range ds {
-		if d.reason == "" {
-			c.diags = append(c.diags, diagAt(d.pkg, d.pos, ruleRaceFree,
-				"racefree directive needs a parenthesized reason: //adhoclint:racefree(reason)"))
-			continue
-		}
-		if !d.used {
-			c.diags = append(c.diags, diagAt(d.pkg, d.pos, ruleRaceFree,
-				"misplaced racefree directive: it attaches to a struct field or a node entry-point declaration (same line or the line above)"))
+	for _, d := range c.prog.directives().sorted(dirRaceFree) {
+		switch {
+		case d.arg() == "":
+			c.report(d.pkg, d.pos, "racefree directive needs a parenthesized reason: //adhoclint:racefree(reason)")
+		case !c.used[d]:
+			c.report(d.pkg, d.pos, "misplaced racefree directive: it attaches to a struct field or a node entry-point declaration (same line or the line above)")
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 )
 
 func TestRaceFreeRule(t *testing.T) {
+	t.Parallel()
 	checkProgramFixture(t, "racefree", "adhocshare/fixture/racefree", rules(ruleRaceFree))
 }
 
@@ -13,6 +14,7 @@ func TestRaceFreeRule(t *testing.T) {
 // its held locks, the conflicting access with its held locks, and the
 // escape-hatch hint.
 func TestRaceFreeWitnessChains(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "racefree", "adhocshare/fixture/racefree")
 	diags := LintProgram(prog, rules(ruleRaceFree))
 	byFrag := func(frag string) *Diagnostic {
@@ -69,6 +71,7 @@ func TestRaceFreeWitnessChains(t *testing.T) {
 // yield exactly three findings (plus the two directive-hygiene ones),
 // never one per conflicting pair.
 func TestRaceFreeOneFindingPerField(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "racefree", "adhocshare/fixture/racefree")
 	perField := map[string]int{}
 	for _, d := range LintProgram(prog, rules(ruleRaceFree)) {
@@ -90,6 +93,7 @@ func TestRaceFreeOneFindingPerField(t *testing.T) {
 // documented racefree exemption (the dynamic corroborator is the
 // ConcurrentDelivery -race matrix in internal/experiments).
 func TestRaceFreeCleanOnRealTree(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("skipping whole-module load in -short mode")
 	}
@@ -108,6 +112,7 @@ func TestRaceFreeCleanOnRealTree(t *testing.T) {
 // while HandleCall reads it — the exact shape overlay.IndexNode.hot had
 // before hotRef/hotMu — must be flagged.
 func TestRaceFreeCatchesLatePointerInstall(t *testing.T) {
+	t.Parallel()
 	prog := loadFixtureProgram(t, "racefree_hotinstall", "adhocshare/fixture/racefree_hotinstall")
 	diags := LintProgram(prog, rules(ruleRaceFree))
 	if len(diags) != 1 {

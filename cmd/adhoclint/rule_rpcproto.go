@@ -42,6 +42,8 @@ type methodConst struct {
 // handlerCase is one `case MethodX:` of a HandleCall dispatch switch.
 type handlerCase struct {
 	value    string
+	node     *funcNode // the enclosing HandleCall
+	body     []ast.Stmt
 	pkg      *Package
 	pos      token.Pos
 	fn       string       // display name of the enclosing handler
@@ -65,13 +67,12 @@ func checkRPCProtocol(prog *Program, enabled map[string]bool) []Diagnostic {
 	if enabled != nil && !enabled[ruleRPCProto] {
 		return nil
 	}
-	simnetPath := prog.modPath + "/internal/simnet"
 	loaded := prog.loadedPackages()
 	analyzed := prog.analyzedSet()
 
 	consts := collectMethodConsts(loaded)
-	cases := collectHandlerCases(loaded, simnetPath)
-	calls := collectFabricCalls(loaded, simnetPath)
+	cases := prog.handlerCases()
+	calls := prog.fabricCalls()
 
 	known := map[string]bool{}
 	for _, c := range consts {
@@ -183,60 +184,53 @@ func collectMethodConsts(loaded []*Package) []*methodConst {
 	return out
 }
 
-// collectHandlerCases finds every `switch method` case inside HandleCall
-// implementations, recording the request types asserted and the response
-// type returned in each case body.
-func collectHandlerCases(loaded []*Package, simnetPath string) []*handlerCase {
+// collectHandlerCases finds every `switch method` case inside one
+// HandleCall implementation, recording the request types asserted and the
+// response type returned in each case body.
+func collectHandlerCases(node *funcNode) []*handlerCase {
+	p, fn := node.pkg, node.decl
+	methodObj, reqObj := handleCallParams(p, fn)
+	if methodObj == nil {
+		return nil
+	}
+	display := fn.Name.Name
+	if tn := recvTypeName(fn); tn != "" {
+		display = fmt.Sprintf("%s.(*%s).HandleCall", p.Types.Name(), tn)
+	}
 	var out []*handlerCase
-	for _, p := range loaded {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Name.Name != "HandleCall" || fn.Body == nil {
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		sw, ok := n.(*ast.SwitchStmt)
+		if !ok {
+			return true
+		}
+		tag, ok := sw.Tag.(*ast.Ident)
+		if !ok || p.Info.Uses[tag] != methodObj {
+			return true
+		}
+		for _, stmt := range sw.Body.List {
+			cc, ok := stmt.(*ast.CaseClause)
+			if !ok || cc.List == nil {
+				continue
+			}
+			for _, expr := range cc.List {
+				tv := p.Info.Types[expr]
+				if tv.Value == nil || tv.Value.Kind() != constant.String {
 					continue
 				}
-				methodObj, reqObj := handleCallParams(p, fn)
-				if methodObj == nil {
-					continue
+				hc := &handlerCase{
+					value: constant.StringVal(tv.Value),
+					node:  node,
+					pkg:   p,
+					pos:   expr.Pos(),
+					fn:    display,
+					body:  cc.Body,
 				}
-				display := fn.Name.Name
-				if tn := recvTypeName(fn); tn != "" {
-					display = fmt.Sprintf("%s.(*%s).HandleCall", p.Types.Name(), tn)
-				}
-				ast.Inspect(fn.Body, func(n ast.Node) bool {
-					sw, ok := n.(*ast.SwitchStmt)
-					if !ok {
-						return true
-					}
-					tag, ok := sw.Tag.(*ast.Ident)
-					if !ok || p.Info.Uses[tag] != methodObj {
-						return true
-					}
-					for _, stmt := range sw.Body.List {
-						cc, ok := stmt.(*ast.CaseClause)
-						if !ok || cc.List == nil {
-							continue
-						}
-						for _, expr := range cc.List {
-							tv := p.Info.Types[expr]
-							if tv.Value == nil || tv.Value.Kind() != constant.String {
-								continue
-							}
-							hc := &handlerCase{
-								value: constant.StringVal(tv.Value),
-								pkg:   p,
-								pos:   expr.Pos(),
-								fn:    display,
-							}
-							hc.reqTypes, hc.respType = caseBodyFacts(p, cc.Body, reqObj)
-							out = append(out, hc)
-						}
-					}
-					return true
-				})
+				hc.reqTypes, hc.respType = caseBodyFacts(p, cc.Body, reqObj)
+				out = append(out, hc)
 			}
 		}
-	}
+		return true
+	})
 	return out
 }
 
@@ -301,25 +295,9 @@ func caseBodyFacts(p *Package, body []ast.Stmt, reqObj types.Object) (reqTypes [
 	return reqTypes, respTypes[0]
 }
 
-// collectFabricCalls finds every Network.Call/Send/Transfer site, with the
-// response assertion (when the Call result is later type-asserted through
-// the variable it was assigned to).
-func collectFabricCalls(loaded []*Package, simnetPath string) []*fabricCall {
-	var out []*fabricCall
-	for _, p := range loaded {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				out = append(out, fabricCallsIn(p, fn, simnetPath)...)
-			}
-		}
-	}
-	return out
-}
-
+// fabricCallsIn finds every Network.Call/Send/Transfer site of one body,
+// with the response assertion (when the Call result is later type-asserted
+// through the variable it was assigned to).
 func fabricCallsIn(p *Package, fn *ast.FuncDecl, simnetPath string) []*fabricCall {
 	var out []*fabricCall
 	respVars := map[types.Object]*fabricCall{}
@@ -481,16 +459,8 @@ func typeListDisplay(ts []types.Type) string {
 // element type of a struct that does: such a struct cannot go on the wire
 // and is either dead or missing its SizeBytes.
 func checkPayloadImpls(prog *Program, loaded []*Package, analyzed map[*Package]bool) []Diagnostic {
-	simnet := prog.simnetTypes()
-	if simnet == nil {
-		return nil
-	}
-	obj := simnet.Scope().Lookup("Payload")
-	if obj == nil {
-		return nil
-	}
-	iface, ok := obj.Type().Underlying().(*types.Interface)
-	if !ok {
+	iface := prog.payloadIface()
+	if iface == nil {
 		return nil
 	}
 

@@ -40,50 +40,32 @@ func checkVTime(prog *Program, enabled map[string]bool) []Diagnostic {
 		return nil
 	}
 	v := &vtimeChecker{
-		prog:       prog,
-		simnetPath: prog.modPath + "/internal/simnet",
-		analyzed:   prog.analyzedSet(),
-		touches:    map[*types.Func]bool{},
-		decls:      map[*types.Func]*wireDecl{},
+		prog:     prog,
+		reporter: reporter{rule: ruleVTime, analyzed: prog.analyzedSet()},
+		reach:    prog.reach(),
 	}
-	v.collectDecls()
-	v.computeTouches()
-	v.faultDirectives = collectFaultDirectives(prog.loadedPackages())
-	for _, p := range prog.Pkgs {
-		if p.Info == nil || !v.inScope(p) {
+	for _, node := range prog.allFuncs() {
+		if !v.analyzed[node.pkg] || !v.inScope(node.pkg) {
 			continue
 		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				v.checkGoFanout(p, fn)
-				v.checkHandlerVTime(p, fn)
-				v.checkDroppedVTime(p, fn)
-				v.checkParallelBodies(p, fn)
-			}
-		}
+		v.checkGoFanout(node.pkg, node.decl)
+		v.checkHandlerVTime(node)
+		v.checkDroppedVTime(node.pkg, node.decl)
+		v.checkParallelBodies(node.pkg, node.decl)
 	}
-	sortDiagnostics(v.diags)
 	return v.diags
 }
 
 type vtimeChecker struct {
-	prog            *Program
-	simnetPath      string
-	analyzed        map[*Package]bool
-	decls           map[*types.Func]*wireDecl
-	touches         map[*types.Func]bool // transitively performs a fabric call
-	faultDirectives map[ignoreKey]*faultDirective
-	diags           []Diagnostic
+	prog *Program
+	reporter
+	reach *fabricReach
 }
 
 // inScope limits the rule to internal/ and cmd/ packages outside
 // internal/simnet and the linter itself.
 func (v *vtimeChecker) inScope(p *Package) bool {
-	if p.ImportPath == v.simnetPath || p.ImportPath == v.prog.modPath+"/cmd/adhoclint" {
+	if p.ImportPath == v.prog.simnetPath || p.ImportPath == v.prog.modPath+"/cmd/adhoclint" {
 		return false
 	}
 	return internalPackage(p) || cmdPackage(p, v.prog.modPath)
@@ -91,76 +73,15 @@ func (v *vtimeChecker) inScope(p *Package) bool {
 
 // fireAndForgetAt reports whether the position carries a
 // faultpath(fire-and-forget) declaration on its line or the line above.
-func (v *vtimeChecker) fireAndForgetAt(p *Package, pos token.Pos) bool {
-	position := p.Fset.Position(pos)
-	for off := 0; off >= -1; off-- {
-		if d, ok := v.faultDirectives[ignoreKey{position.Filename, position.Line + off}]; ok {
-			return d.disposition == dispFireAndForget
-		}
-	}
-	return false
+func (v *vtimeChecker) fireAndForgetAt(pos token.Pos) bool {
+	disp, _ := faultDispositionAt(v.prog, pos)
+	return disp == dispFireAndForget
 }
 
-func (v *vtimeChecker) collectDecls() {
-	for _, p := range v.prog.loadedPackages() {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					v.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				}
-			}
-		}
-	}
-}
-
-// computeTouches closes "performs a fabric call" over static calls.
-func (v *vtimeChecker) computeTouches() {
-	for obj, d := range v.decls {
-		direct := false
-		ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-			if direct {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok {
-				if fabricCallAt(d.pkg, call, v.simnetPath) != nil {
-					direct = true
-				}
-			}
-			return true
-		})
-		v.touches[obj] = direct
-	}
-	for changed := true; changed; {
-		changed = false
-		for obj, d := range v.decls {
-			if v.touches[obj] {
-				continue
-			}
-			reached := false
-			ast.Inspect(d.decl.Body, func(n ast.Node) bool {
-				if reached {
-					return false
-				}
-				if call, ok := n.(*ast.CallExpr); ok {
-					if callee, _ := staticCallee(d.pkg.Info, call); callee != nil && !v.traceNeutral(callee) && v.touches[callee] {
-						reached = true
-					}
-				}
-				return true
-			})
-			if reached {
-				v.touches[obj] = true
-				changed = true
-			}
-		}
-	}
+// touches reports whether callee reaches the fabric (fabric-neutral
+// observability callees never do).
+func (v *vtimeChecker) touches(callee *types.Func) bool {
+	return callee != nil && !observabilityNeutral(callee, v.prog.modPath) && v.reach.touches(callee)
 }
 
 // nodeTouchesFabric reports whether the subtree contains a fabric call,
@@ -168,34 +89,13 @@ func (v *vtimeChecker) computeTouches() {
 func (v *vtimeChecker) nodeTouchesFabric(p *Package, node ast.Node) bool {
 	found := false
 	ast.Inspect(node, func(n ast.Node) bool {
-		if found {
-			return false
+		if call, ok := n.(*ast.CallExpr); ok && !found {
+			callee, _ := staticCallee(p.Info, call)
+			found = fabricCallAt(p, call, v.prog.simnetPath) != nil || v.touches(callee)
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if fabricCallAt(p, call, v.simnetPath) != nil {
-			found = true
-			return false
-		}
-		if callee, _ := staticCallee(p.Info, call); callee != nil && !v.traceNeutral(callee) && v.touches[callee] {
-			found = true
-			return false
-		}
-		return true
+		return !found
 	})
 	return found
-}
-
-// traceNeutral reports whether callee belongs to an observability leaf
-// package (trace or flight), whose functions — Recorder.Record and
-// Recorder.Emit above all — are fabric-neutral by contract (see
-// trace_knowledge.go and flight_knowledge.go): recording a span or an
-// event moves no modeled bytes or VTime, so the fabric-reach closure
-// stops there.
-func (v *vtimeChecker) traceNeutral(callee *types.Func) bool {
-	return observabilityNeutral(callee, v.prog.modPath)
 }
 
 // checkGoFanout flags `go` statements that transitively reach fabric
@@ -211,9 +111,8 @@ func (v *vtimeChecker) checkGoFanout(p *Package, fn *ast.FuncDecl) {
 		case *ast.FuncLit:
 			bad = v.nodeTouchesFabric(p, fun.Body)
 		default:
-			if callee, _ := staticCallee(p.Info, g.Call); callee != nil && !v.traceNeutral(callee) {
-				bad = v.touches[callee]
-			}
+			callee, _ := staticCallee(p.Info, g.Call)
+			bad = v.touches(callee)
 		}
 		if bad {
 			v.report(p, g.Pos(),
@@ -226,13 +125,14 @@ func (v *vtimeChecker) checkGoFanout(p *Package, fn *ast.FuncDecl) {
 // checkHandlerVTime flags handler-shaped returns whose VTime is not
 // derived from the charged time (the VTime parameters or the done-values
 // of the handler's own fabric calls).
-func (v *vtimeChecker) checkHandlerVTime(p *Package, fn *ast.FuncDecl) {
-	if !handlerShape(p, fn, v.simnetPath, nil) {
+func (v *vtimeChecker) checkHandlerVTime(node *funcNode) {
+	p, fn := node.pkg, node.decl
+	if !handlerShape(p, fn, v.prog.simnetPath, nil) {
 		return
 	}
 	taint := map[types.Object]bool{}
 	for _, field := range fn.Type.Params.List {
-		if !isNamedType(p.Info.Types[field.Type].Type, v.simnetPath, "VTime") {
+		if !isNamedType(p.Info.Types[field.Type].Type, v.prog.simnetPath, "VTime") {
 			continue
 		}
 		for _, name := range field.Names {
@@ -272,7 +172,7 @@ func (v *vtimeChecker) checkHandlerVTime(p *Package, fn *ast.FuncDecl) {
 			}
 			if len(asg.Rhs) == 1 && len(asg.Lhs) > 1 {
 				if call, ok := asg.Rhs[0].(*ast.CallExpr); ok {
-					if fc := fabricCallAt(p, call, v.simnetPath); fc != nil {
+					if fc := fabricCallAt(p, call, v.prog.simnetPath); fc != nil {
 						donePos := 0 // Send/Transfer: (VTime, error)
 						if fc.kind == "Call" {
 							donePos = 1 // (Payload, VTime, error)
@@ -310,7 +210,7 @@ func (v *vtimeChecker) checkHandlerVTime(p *Package, fn *ast.FuncDecl) {
 		if !tainted(ret.Results[1]) {
 			v.report(p, ret.Results[1].Pos(), fmt.Sprintf(
 				"%s returns a VTime unrelated to the charged time; thread the handler's VTime parameter or a fabric done-value instead of fabricating one",
-				funcDisplayOf(p, fn)))
+				funcDisplay(node.obj)))
 		}
 		return true
 	})
@@ -329,7 +229,7 @@ func (v *vtimeChecker) checkDroppedVTime(p *Package, fn *ast.FuncDecl) {
 			if !ok {
 				return true
 			}
-			fc := fabricCallAt(p, call, v.simnetPath)
+			fc := fabricCallAt(p, call, v.prog.simnetPath)
 			if fc == nil {
 				return true
 			}
@@ -342,14 +242,14 @@ func (v *vtimeChecker) checkDroppedVTime(p *Package, fn *ast.FuncDecl) {
 				return true
 			}
 			if id, ok := n.Lhs[donePos].(*ast.Ident); ok && id.Name == "_" &&
-				!v.fireAndForgetAt(p, call.Pos()) {
+				!v.fireAndForgetAt(call.Pos()) {
 				v.report(p, call.Pos(), fmt.Sprintf(
 					"the VTime charged by %s of %q is discarded; thread it into the caller's accounting",
 					fc.kind, fc.value))
 			}
 		case *ast.ExprStmt:
 			if call, ok := n.X.(*ast.CallExpr); ok && !reported[call] {
-				if fc := fabricCallAt(p, call, v.simnetPath); fc != nil && !v.fireAndForgetAt(p, call.Pos()) {
+				if fc := fabricCallAt(p, call, v.prog.simnetPath); fc != nil && !v.fireAndForgetAt(call.Pos()) {
 					v.report(p, call.Pos(), fmt.Sprintf(
 						"the result of %s of %q (including its charged VTime) is discarded; thread it into the caller's accounting",
 						fc.kind, fc.value))
@@ -369,10 +269,7 @@ func (v *vtimeChecker) checkParallelBodies(p *Package, fn *ast.FuncDecl) {
 		if !ok {
 			return true
 		}
-		callee, _ := staticCallee(p.Info, call)
-		if callee == nil || callee.Name() != "Parallel" ||
-			callee.Pkg() == nil || callee.Pkg().Path() != v.simnetPath ||
-			len(call.Args) == 0 {
+		if callee, _ := staticCallee(p.Info, call); !v.prog.isSimnetFunc(callee, "Parallel") || len(call.Args) == 0 {
 			return true
 		}
 		lit, ok := unparen(call.Args[len(call.Args)-1]).(*ast.FuncLit)
@@ -465,20 +362,4 @@ func (v *vtimeChecker) checkBranchLit(p *Package, lit *ast.FuncLit) {
 		}
 		return true
 	})
-}
-
-func (v *vtimeChecker) report(p *Package, pos token.Pos, msg string) {
-	if !v.analyzed[p] {
-		return
-	}
-	v.diags = append(v.diags, diagAt(p, pos, ruleVTime, msg))
-}
-
-// funcDisplayOf renders a declaration for diagnostics, falling back to
-// the bare name when the object is unavailable.
-func funcDisplayOf(p *Package, fn *ast.FuncDecl) string {
-	if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-		return funcDisplay(obj)
-	}
-	return fn.Name.Name
 }

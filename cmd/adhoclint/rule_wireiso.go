@@ -49,10 +49,6 @@ import (
 //
 // Suppress a finding with //adhoclint:ignore wireiso(reason).
 
-// wireImmutableDirective marks a type as immutable-after-construction by
-// convention; see DESIGN.md §7.
-const wireImmutableDirective = "adhoclint:wireimmutable"
-
 // copyVerbs are method names treated as deep copies.
 var copyVerbs = map[string]bool{"Clone": true, "DeepCopy": true, "Copy": true}
 
@@ -82,24 +78,15 @@ func staleState(why ...string) *wireState {
 // chain renders the witness flow chain of a stale state.
 func (s *wireState) chain() string { return strings.Join(s.why, " → ") }
 
-// wireDecl locates one production function declaration.
-type wireDecl struct {
-	pkg  *Package
-	decl *ast.FuncDecl
-}
-
 // wireChecker holds the whole-program state of the rule.
 type wireChecker struct {
-	prog     *Program
-	loaded   []*Package
-	analyzed map[*Package]bool
+	prog *Program
+	reporter
 
-	simnetPath string
-	payload    *types.Interface // simnet.Payload, nil when absent
+	payload *types.Interface // simnet.Payload, nil when absent
 
 	refFree         map[types.Type]bool          // per-type copy-summary cache
 	immutable       map[types.Object]bool        // wireimmutable type names
-	decls           map[*types.Func]*wireDecl    // production decls, loaded packages
 	summaries       map[*types.Func][]*wireState // per-result return freshness
 	inFlight        map[*types.Func]bool         // recursion guard (optimistic)
 	freshFns        map[*types.Func]bool         // constructor summaries (all results fresh)
@@ -109,7 +96,6 @@ type wireChecker struct {
 
 	obligations []wireOblig
 	obligSeen   map[obligKey]bool
-	diags       []Diagnostic
 }
 
 // wireOblig defers a payload check to the callers of fn: param flows
@@ -133,12 +119,10 @@ func checkWireIsolation(prog *Program, enabled map[string]bool) []Diagnostic {
 	}
 	c := &wireChecker{
 		prog:            prog,
-		loaded:          prog.loadedPackages(),
-		analyzed:        prog.analyzedSet(),
-		simnetPath:      prog.modPath + "/internal/simnet",
+		reporter:        reporter{rule: ruleWireIso, analyzed: prog.analyzedSet()},
+		payload:         prog.payloadIface(),
 		refFree:         map[types.Type]bool{},
 		immutable:       map[types.Object]bool{},
-		decls:           map[*types.Func]*wireDecl{},
 		summaries:       map[*types.Func][]*wireState{},
 		inFlight:        map[*types.Func]bool{},
 		freshFns:        map[*types.Func]bool{},
@@ -147,112 +131,38 @@ func checkWireIsolation(prog *Program, enabled map[string]bool) []Diagnostic {
 		fns:             map[*types.Func]*wireFn{},
 		obligSeen:       map[obligKey]bool{},
 	}
-	if simnet := prog.simnetTypes(); simnet != nil {
-		if obj := simnet.Scope().Lookup("Payload"); obj != nil {
-			c.payload, _ = obj.Type().Underlying().(*types.Interface)
-		}
-	}
-	c.collectDirectives()
-	c.collectDecls()
-	c.collectFieldElemWrites()
-
-	for _, p := range c.loaded {
-		if !c.analyzed[p] || p.Info == nil {
-			continue
-		}
-		if p.ImportPath == c.simnetPath {
-			continue // the fabric itself relays opaque payloads by design
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				c.checkFunc(p, fn)
-			}
+	c.collectFacts()
+	for _, node := range prog.allFuncs() {
+		// The fabric itself relays opaque payloads by design.
+		if c.analyzed[node.pkg] && node.pkg.ImportPath != c.prog.simnetPath {
+			c.checkFunc(node.pkg, node.decl)
 		}
 	}
 	c.resolveObligations()
 	return c.diags
 }
 
-// collectDirectives records every //adhoclint:wireimmutable-annotated
-// type name across the loaded packages.
-func (c *wireChecker) collectDirectives() {
-	for _, p := range c.loaded {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			marked := map[int]bool{}
-			for _, cg := range f.Comments {
-				for _, cm := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-					if strings.HasPrefix(text, wireImmutableDirective) {
-						marked[p.Fset.Position(cm.Pos()).Line] = true
-					}
-				}
-			}
-			if len(marked) == 0 {
-				continue
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				ts, ok := n.(*ast.TypeSpec)
-				if !ok {
-					return true
-				}
-				line := p.Fset.Position(ts.Name.Pos()).Line
-				if marked[line] || marked[line-1] {
-					if obj := p.Info.Defs[ts.Name]; obj != nil {
-						c.immutable[obj] = true
-					}
-				}
-				return true
-			})
-		}
-	}
-}
-
-// collectDecls indexes every production function declaration of the
-// loaded packages, so summaries can follow calls across packages.
-func (c *wireChecker) collectDecls() {
-	for _, p := range c.loaded {
-		if p.Info == nil {
-			continue
-		}
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fn, ok := d.(*ast.FuncDecl)
-				if !ok || fn.Body == nil {
-					continue
-				}
-				if obj, ok := p.Info.Defs[fn.Name].(*types.Func); ok {
-					c.decls[obj] = &wireDecl{pkg: p, decl: fn}
-				}
-			}
-		}
-	}
-}
-
-// collectFieldElemWrites records, program-wide, every element write
-// through a struct field (t.rows[k] = v, sort.Slice(t.rows, ...)). A
-// slice- or map-typed field with *no* such write and reference-free
-// elements is provably immutable after send.
-func (c *wireChecker) collectFieldElemWrites() {
-	for _, p := range c.loaded {
-		if p.Info == nil {
-			continue
-		}
+// collectFacts walks the loaded packages once, recording every
+// //adhoclint:wireimmutable-annotated type name and, program-wide, every
+// element write through a struct field (t.rows[k] = v). A slice- or
+// map-typed field with *no* such write and reference-free elements is
+// provably immutable after send.
+func (c *wireChecker) collectFacts() {
+	for _, p := range c.prog.loadedPackages() {
 		for _, f := range p.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
-				asg, ok := n.(*ast.AssignStmt)
-				if !ok {
-					return true
-				}
-				for _, lhs := range asg.Lhs {
-					if obj := c.fieldOfElemWrite(p, lhs); obj != nil {
-						c.fieldElemWrites[obj] = append(c.fieldElemWrites[obj], lhs.Pos())
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if c.prog.directiveAt(dirWireImmutable, n.Name.Pos()) != nil {
+						if obj := p.Info.Defs[n.Name]; obj != nil {
+							c.immutable[obj] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if obj := c.fieldOfElemWrite(p, lhs); obj != nil {
+							c.fieldElemWrites[obj] = append(c.fieldElemWrites[obj], lhs.Pos())
+						}
 					}
 				}
 				return true
@@ -325,7 +235,7 @@ func (c *wireChecker) typeRefFreeUncached(t types.Type) bool {
 }
 
 // typeImmutable reports whether t carries the wireimmutable directive.
-// trace.TraceContext carries it implicitly (see trace_knowledge.go): wire
+// trace.TraceContext carries it implicitly (see observability.go): wire
 // contexts are derived with Child, never written through, and the
 // immutable-write check enforces exactly that.
 func (c *wireChecker) typeImmutable(t types.Type) bool {
@@ -392,12 +302,12 @@ func (c *wireChecker) fnFor(p *Package, decl *ast.FuncDecl) *wireFn {
 	}
 	// Payload-typed parameters of a Handler-shaped function are the wire
 	// request: they were checked for safety when their sender built them.
-	if handlerShape(p, decl, c.simnetPath, c.payload) {
+	if handlerShape(p, decl, c.prog.simnetPath, c.payload) {
 		for _, po := range f.params {
 			if po == nil {
 				continue
 			}
-			if isNamedType(po.Type(), c.simnetPath, "Payload") ||
+			if isNamedType(po.Type(), c.prog.simnetPath, "Payload") ||
 				c.payload != nil && implementsPayload(po.Type(), c.payload) {
 				f.wire[po] = true
 			}
@@ -456,7 +366,7 @@ func (f *wireFn) recordAssign(asg *ast.AssignStmt) {
 	// variable of a fabric Call is wire-derived.
 	if len(asg.Rhs) == 1 && len(asg.Lhs) > 1 {
 		if call, ok := asg.Rhs[0].(*ast.CallExpr); ok {
-			if fc := fabricCallAt(f.pkg, call, f.c.simnetPath); fc != nil && fc.kind == "Call" {
+			if fc := fabricCallAt(f.pkg, call, f.c.prog.simnetPath); fc != nil && fc.kind == "Call" {
 				if id, ok := asg.Lhs[0].(*ast.Ident); ok && id.Name != "_" {
 					if obj := defOrUse(info, id); obj != nil {
 						f.wire[obj] = true
@@ -931,8 +841,8 @@ func (c *wireChecker) freshSummary(callee *types.Func) bool {
 	if got, ok := c.freshFns[callee]; ok {
 		return got
 	}
-	d, ok := c.decls[callee]
-	if !ok || d.decl.Body == nil {
+	d := c.prog.funcDecl(callee)
+	if d == nil {
 		return false
 	}
 	if c.freshBusy[callee] {
@@ -977,8 +887,8 @@ func (c *wireChecker) summary(callee *types.Func) []*wireState {
 	if c.inFlight[callee] {
 		return nil // optimistic on recursion
 	}
-	d, ok := c.decls[callee]
-	if !ok {
+	d := c.prog.funcDecl(callee)
+	if d == nil {
 		// No source (stdlib, interface method): classify by result types.
 		sig, _ := callee.Type().(*types.Signature)
 		if sig == nil {
@@ -1102,7 +1012,7 @@ func (c *wireChecker) checkSends(f *wireFn) {
 		if !ok {
 			return true
 		}
-		fc := fabricCallAt(f.pkg, call, c.simnetPath)
+		fc := fabricCallAt(f.pkg, call, c.prog.simnetPath)
 		if fc == nil {
 			return true
 		}
@@ -1278,7 +1188,7 @@ func (c *wireChecker) checkWireValue(f *wireFn, e ast.Expr, desc string, pos tok
 // checkResponses validates the first result of every Handler-shaped
 // return.
 func (c *wireChecker) checkResponses(f *wireFn) {
-	if !handlerShape(f.pkg, f.decl, c.simnetPath, c.payload) {
+	if !handlerShape(f.pkg, f.decl, c.prog.simnetPath, c.payload) {
 		return
 	}
 	ast.Inspect(f.decl.Body, func(n ast.Node) bool {
@@ -1380,7 +1290,7 @@ func (f *wireFn) freshForWrite(e ast.Expr, busy map[types.Object]bool) bool {
 // checkRequestCapture flags a handler storing a request-derived reference
 // directly into receiver state.
 func (c *wireChecker) checkRequestCapture(f *wireFn) {
-	if !handlerShape(f.pkg, f.decl, c.simnetPath, c.payload) {
+	if !handlerShape(f.pkg, f.decl, c.prog.simnetPath, c.payload) {
 		return
 	}
 	recv := recvObj(f.pkg, f.decl)
@@ -1414,27 +1324,22 @@ func recvObj(p *Package, fn *ast.FuncDecl) types.Object {
 // each caller of a payload-forwarding function must feed it a wire-safe
 // argument.
 func (c *wireChecker) resolveObligations() {
-	graph := c.prog.CallGraph()
+	callers := c.prog.analyzedFuncs()
 	for i := 0; i < len(c.obligations); i++ {
 		ob := c.obligations[i]
-		for _, node := range graph.funcs {
+		for _, node := range callers {
 			for _, site := range node.calls {
-				if site.callee != ob.fn {
-					continue
-				}
-				call := callExprAt(node, site.pos)
-				if call == nil || ob.param >= len(call.Args) {
+				call := site.call
+				if site.callee != ob.fn || ob.param >= len(call.Args) {
 					continue
 				}
 				f := c.fnFor(node.pkg, node.decl)
 				s := f.eval(call.Args[ob.param], true)
 				switch s.kind {
 				case wireStale:
-					if c.analyzed[node.pkg] {
-						c.report(node.pkg, site.pos, fmt.Sprintf(
-							"argument %s flows to the wire through %s (as %s), and may alias mutable node state (flow: %s); deep-copy before passing",
-							renderExpr(call.Args[ob.param]), funcDisplay(ob.fn), ob.desc, s.chain()))
-					}
+					c.report(node.pkg, site.pos, fmt.Sprintf(
+						"argument %s flows to the wire through %s (as %s), and may alias mutable node state (flow: %s); deep-copy before passing",
+						renderExpr(call.Args[ob.param]), funcDisplay(ob.fn), ob.desc, s.chain()))
 				case wireParam:
 					if f.obj == nil {
 						continue
@@ -1450,30 +1355,6 @@ func (c *wireChecker) resolveObligations() {
 			}
 		}
 	}
-}
-
-// callExprAt recovers the call expression at a recorded call-site
-// position.
-func callExprAt(node *funcNode, pos token.Pos) *ast.CallExpr {
-	var out *ast.CallExpr
-	ast.Inspect(node.decl.Body, func(n ast.Node) bool {
-		if out != nil {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && call.Pos() == pos {
-			out = call
-			return false
-		}
-		return true
-	})
-	return out
-}
-
-func (c *wireChecker) report(p *Package, pos token.Pos, msg string) {
-	if !c.analyzed[p] {
-		return
-	}
-	c.diags = append(c.diags, diagAt(p, pos, ruleWireIso, msg))
 }
 
 // renderExpr prints an expression compactly for diagnostics.

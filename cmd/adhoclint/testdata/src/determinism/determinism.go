@@ -29,3 +29,9 @@ func BadGlobalRand() int {
 func BadShuffle(xs []int) {
 	rand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] }) // want "global math/rand.Shuffle"
 }
+
+// A misspelled rule name leaves the ignore list empty, which suppresses
+// nothing.
+func BadSleepTypo() {
+	time.Sleep(time.Millisecond) //adhoclint:ignore determinsm(typo) // want "time.Sleep"
+}
